@@ -533,8 +533,7 @@ mod table_core {
     }
 
     /// Fallible form of [`find_or_insert`]: capacity exhaustion is an `Err`
-    /// instead of a panic, so the fine-grained engine can degrade a query
-    /// rather than abort it.
+    /// instead of a panic, so a caller can recover rather than abort.
     pub fn try_find_or_insert<const VW: usize>(
         region: &mut [u32],
         key: u32,

@@ -260,24 +260,22 @@ pub struct ServeReport {
     pub qps: f64,
     /// Whether the results cache was enabled.
     pub cache_enabled: bool,
-    /// Results-cache hits (0 when disabled).
-    pub cache_hits: u64,
-    /// Results-cache misses (0 when disabled).
-    pub cache_misses: u64,
+    /// Results-cache `(hits, misses)`: `(0, 0)` in-process with the cache
+    /// off, `None` over TCP, where the server does not export them.
+    pub cache_counters: Option<(u64, u64)>,
     /// Per-key traffic.
     pub per_key: Vec<KeyTraffic>,
 }
 
 impl ServeReport {
     /// Cache hit rate in `[0, 1]` (0 when the cache was disabled or no
-    /// query ran).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / probes as f64
-        }
+    /// query ran), or `None` when the counters were not observable.
+    pub fn cache_hit_rate(&self) -> Option<f64> {
+        self.cache_counters
+            .map(|(hits, misses)| match hits + misses {
+                0 => 0.0,
+                probes => hits as f64 / probes as f64,
+            })
     }
 
     /// Validates the report: the run must have answered queries, answered
@@ -322,21 +320,25 @@ impl ServeReport {
         if !self.qps.is_finite() || self.qps <= 0.0 {
             problems.push(format!("{label}: invalid qps {}", self.qps));
         }
-        let rate = self.cache_hit_rate();
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            problems.push(format!("{label}: invalid cache hit rate {rate}"));
-        }
         // Over TCP the cache counters live inside the server and are not
-        // part of the wire stats, so the probe reconciliation only applies
-        // in-process.
-        if self.transport == ServeTransport::InProcess
-            && self.cache_enabled
-            && self.cache_hits + self.cache_misses != self.total_queries
-        {
-            problems.push(format!(
-                "{label}: cache probes ({} + {}) do not reconcile with {} queries",
-                self.cache_hits, self.cache_misses, self.total_queries
-            ));
+        // part of the wire stats, so a TCP run must not report any; an
+        // in-process run must, and its probes must reconcile.
+        match (self.transport, self.cache_counters) {
+            (ServeTransport::Tcp, Some(_)) => problems.push(format!(
+                "{label}: tcp run reports cache counters the server does not export"
+            )),
+            (ServeTransport::InProcess, None) => {
+                problems.push(format!("{label}: in-process run without cache counters"));
+            }
+            (ServeTransport::InProcess, Some((hits, misses))) => {
+                if self.cache_enabled && hits + misses != self.total_queries {
+                    problems.push(format!(
+                        "{label}: cache probes ({hits} + {misses}) do not reconcile with {} queries",
+                        self.total_queries
+                    ));
+                }
+            }
+            (ServeTransport::Tcp, None) => {}
         }
         match (self.transport, &self.tcp) {
             (ServeTransport::Tcp, None) => {
@@ -400,12 +402,16 @@ impl ServeReport {
             self.p99_latency_ns as f64 / 1e6,
             self.max_latency_ns as f64 / 1e6,
         ));
+        let counters = match (self.cache_counters, self.cache_hit_rate()) {
+            (Some((hits, misses)), Some(rate)) => format!(
+                "{hits} hits / {misses} misses, hit rate {:.1}%",
+                rate * 100.0
+            ),
+            _ => "counters not exported".to_string(),
+        };
         out.push_str(&format!(
-            "  results cache: {} ({} hits / {} misses, hit rate {:.1}%) | degraded {} | wrong answers {}\n",
+            "  results cache: {} ({counters}) | degraded {} | wrong answers {}\n",
             if self.cache_enabled { "on" } else { "off" },
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0,
             self.degraded,
             self.wrong_answers,
         ));
@@ -552,14 +558,14 @@ fn serve_in_process(
             .collect()
     });
     let elapsed_ns = started.elapsed().as_nanos() as u64;
-    let (cache_hits, cache_misses) = engine.results_cache_counters().unwrap_or((0, 0));
+    let cache_counters = engine.results_cache_counters().unwrap_or((0, 0));
     Ok(assemble_report(
         cfg,
         prepared,
         keys,
         logs?,
         elapsed_ns,
-        (cache_hits, cache_misses),
+        Some(cache_counters),
         None,
     ))
 }
@@ -667,7 +673,7 @@ fn serve_tcp(
         keys,
         logs,
         elapsed_ns,
-        (0, 0),
+        None,
         Some(tcp),
     ))
 }
@@ -678,7 +684,7 @@ fn assemble_report(
     keys: &[(Task, TaskConfig)],
     logs: Vec<ClientLog>,
     elapsed_ns: u64,
-    (cache_hits, cache_misses): (u64, u64),
+    cache_counters: Option<(u64, u64)>,
     tcp: Option<TcpServeStats>,
 ) -> ServeReport {
     let mut latencies: Vec<u64> = Vec::new();
@@ -719,8 +725,7 @@ fn assemble_report(
         mean_latency_ns: mean,
         qps: total_queries as f64 / (elapsed_ns.max(1) as f64 / 1e9),
         cache_enabled: cfg.results_cache,
-        cache_hits,
-        cache_misses,
+        cache_counters,
         per_key: keys
             .iter()
             .zip(per_key)
@@ -742,9 +747,9 @@ pub const SERVE_NOTES: &[&str] = &[
      fills the once-filled analysis layer, repeats are served warm, and \
      with the results cache on, repeats of a whole key are answered without \
      executing anything.",
-    "The runner is a single time-sliced core: qps and latency percentiles \
-     measure the concurrency *machinery* (admission, publication, leasing), \
-     not parallel speedup.",
+    "When clients outnumber cores, qps and latency percentiles measure the \
+     concurrency *machinery* (admission, publication, leasing), not \
+     parallel speedup.",
     "Every answer is digest-checked against the sequential oracle computed \
      before the clock started; wrong_answers must be 0 for the report to \
      validate.",
@@ -752,8 +757,15 @@ pub const SERVE_NOTES: &[&str] = &[
      wire protocol: the tcp block records the server's admission counters \
      (shed, max_queue_depth, batches) and must show zero protocol errors, \
      shed counts that reconcile with what the clients observed, and a queue \
-     depth that never exceeded its configured capacity.",
+     depth that never exceeded its configured capacity.  Their \
+     results_cache hits, misses and hit_rate are null: the cache lives \
+     inside the server, which does not export its counters.",
 ];
+
+/// A JSON value, or `null` when it was not observed.
+fn json_or_null(value: Option<String>) -> String {
+    value.unwrap_or_else(|| "null".to_string())
+}
 
 /// Renders serve reports as the machine-readable `BENCH_serve.json`.
 pub fn serve_json(reports: &[ServeReport]) -> String {
@@ -768,7 +780,7 @@ pub fn serve_json(reports: &[ServeReport]) -> String {
     out.push_str("  ],\n  \"runs\": [\n");
     for (i, r) in reports.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"transport\": \"{}\",\n      \"scale\": {:.3},\n      \"clients\": {},\n      \"threads\": {},\n      \"duration_ms\": {},\n      \"elapsed_ns\": {},\n      \"mix\": \"{}\",\n      \"total_queries\": {},\n      \"wrong_answers\": {},\n      \"degraded\": {},\n      \"qps\": {:.3},\n      \"latency\": {{\"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}},\n      \"results_cache\": {{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}},\n",
+            "    {{\n      \"dataset\": \"{}\",\n      \"transport\": \"{}\",\n      \"scale\": {:.3},\n      \"clients\": {},\n      \"threads\": {},\n      \"duration_ms\": {},\n      \"elapsed_ns\": {},\n      \"mix\": \"{}\",\n      \"total_queries\": {},\n      \"wrong_answers\": {},\n      \"degraded\": {},\n      \"qps\": {:.3},\n      \"latency\": {{\"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}},\n      \"results_cache\": {{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {}}},\n",
             r.dataset,
             r.transport.name(),
             r.scale,
@@ -786,9 +798,9 @@ pub fn serve_json(reports: &[ServeReport]) -> String {
             r.max_latency_ns,
             r.mean_latency_ns,
             r.cache_enabled,
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_hit_rate(),
+            json_or_null(r.cache_counters.map(|(hits, _)| hits.to_string())),
+            json_or_null(r.cache_counters.map(|(_, misses)| misses.to_string())),
+            json_or_null(r.cache_hit_rate().map(|rate| format!("{rate:.4}"))),
         ));
         if let Some(t) = &r.tcp {
             out.push_str(&format!(
@@ -848,8 +860,7 @@ mod tests {
             mean_latency_ns: 1_200,
             qps: 200.0,
             cache_enabled: true,
-            cache_hits: 2,
-            cache_misses: 8,
+            cache_counters: Some((2, 8)),
             per_key: vec![KeyTraffic {
                 task: Task::WordCount,
                 cfg: TaskConfig::default(),
@@ -875,8 +886,7 @@ mod tests {
         let mut no_queries = tiny_report();
         no_queries.total_queries = 0;
         no_queries.per_key[0].queries = 0;
-        no_queries.cache_hits = 0;
-        no_queries.cache_misses = 0;
+        no_queries.cache_counters = Some((0, 0));
         assert!(!no_queries.schema_problems().is_empty());
 
         let mut wrong = tiny_report();
@@ -894,18 +904,56 @@ mod tests {
             .any(|p| p.contains("out of order")));
 
         let mut bad_probes = tiny_report();
-        bad_probes.cache_hits = 0;
+        bad_probes.cache_counters = Some((0, 8));
         assert!(bad_probes
             .schema_problems()
             .iter()
             .any(|p| p.contains("reconcile")));
     }
 
+    #[test]
+    fn in_process_runs_must_report_reconciling_cache_counters() {
+        let json = serve_json(&[tiny_report()]);
+        assert!(
+            json.contains("\"hits\": 2, \"misses\": 8, \"hit_rate\": 0.2000"),
+            "{json}"
+        );
+
+        let mut unobserved = tiny_report();
+        unobserved.cache_counters = None;
+        assert!(unobserved
+            .schema_problems()
+            .iter()
+            .any(|p| p.contains("without cache counters")));
+
+        // With the cache off nothing is probed: (0, 0) is the honest count.
+        let mut off = tiny_report();
+        off.cache_enabled = false;
+        off.cache_counters = Some((0, 0));
+        assert!(off.schema_problems().is_empty());
+    }
+
+    #[test]
+    fn tcp_runs_must_report_null_cache_counters() {
+        let json = serve_json(&[tiny_tcp_report()]);
+        assert!(
+            json.contains("\"hits\": null, \"misses\": null, \"hit_rate\": null"),
+            "{json}"
+        );
+
+        // Placeholder zeros for a cache that is on are rejected.
+        let mut placeholder = tiny_tcp_report();
+        placeholder.cache_counters = Some((0, 0));
+        assert!(placeholder
+            .schema_problems()
+            .iter()
+            .any(|p| p.contains("does not export")));
+    }
+
     fn tiny_tcp_report() -> ServeReport {
         let mut r = tiny_report();
         r.transport = ServeTransport::Tcp;
-        r.cache_hits = 0;
-        r.cache_misses = 0;
+        r.cache_counters = None;
         r.tcp = Some(TcpServeStats {
             queries_answered: 10,
             shed: 2,

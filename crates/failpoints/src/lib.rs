@@ -18,13 +18,13 @@
 //! # }
 //! ```
 //!
-//! Sites in this workspace (see `ARCHITECTURE.md`, *Failure model*):
+//! Sites on the CPU engine's execution path (see `ARCHITECTURE.md`,
+//! *Failure model*; the arena and server crates document their own):
 //!
 //! | site             | planted at                                    |
 //! |------------------|-----------------------------------------------|
 //! | `worker-epoch`   | entry of every worker's pool-epoch body       |
 //! | `chunk-boundary` | each chunk claimed from a work queue          |
-//! | `arena-reserve`  | arena hash-table insert (capacity check)      |
 //! | `merge-fold`     | shard-buffer merge fold                       |
 
 #![forbid(unsafe_code)]

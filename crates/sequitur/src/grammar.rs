@@ -134,9 +134,17 @@ impl Grammar {
 
     /// Topological order of rules with children before parents (leaves first).
     pub fn topological_order_children_first(&self) -> Vec<RuleId> {
+        self.children_first_walk().0
+    }
+
+    /// The depth-first walk behind [`Self::topological_order_children_first`].
+    /// Also returns the first rule reached while still on the walk's stack —
+    /// a back edge, so that rule lies on a cycle.
+    fn children_first_walk(&self) -> (Vec<RuleId>, Option<RuleId>) {
         let n = self.rules.len();
         let mut state = vec![0u8; n]; // 0 = unvisited, 1 = in stack, 2 = done
         let mut order = Vec::with_capacity(n);
+        let mut cycle = None;
         // Iterative DFS to avoid deep recursion on pathological grammars.
         for start in 0..n as u32 {
             if state[start as usize] != 0 {
@@ -152,9 +160,13 @@ impl Grammar {
                     let sym = body[new_idx];
                     new_idx += 1;
                     if let Symbol::Rule(c) = sym {
-                        if state[c as usize] == 0 {
-                            next_child = Some(c);
-                            break;
+                        match state[c as usize] {
+                            0 => {
+                                next_child = Some(c);
+                                break;
+                            }
+                            1 => cycle = cycle.or(Some(c)),
+                            _ => {}
                         }
                     }
                 }
@@ -169,11 +181,12 @@ impl Grammar {
                 }
             }
         }
-        order
+        (order, cycle)
     }
 
     /// Validates structural well-formedness: every referenced rule exists,
     /// splitters only occur in the root, and the rule graph is acyclic.
+    /// Linear in the grammar size.
     pub fn validate(&self) -> Result<()> {
         if self.rules.is_empty() {
             return Err(Error::Corrupt("grammar has no rules".into()));
@@ -196,28 +209,8 @@ impl Grammar {
                 }
             }
         }
-        // Cycle detection via the children-first order: every rule must appear.
-        let order = self.topological_order_children_first();
-        if order.len() != self.rules.len() {
-            return Err(Error::Corrupt("rule graph contains a cycle".into()));
-        }
-        // A cycle through the DFS would revisit an in-stack node; detect by
-        // checking that no rule (transitively) contains itself.
-        let mut reachable: Vec<std::collections::BTreeSet<u32>> =
-            vec![Default::default(); self.rules.len()];
-        for &r in &order {
-            let mut set = std::collections::BTreeSet::new();
-            for sym in &self.rules[r as usize] {
-                if let Symbol::Rule(c) = sym {
-                    set.insert(*c);
-                    let child_set = reachable[*c as usize].clone();
-                    set.extend(child_set);
-                }
-            }
-            if set.contains(&r) {
-                return Err(Error::Corrupt(format!("rule {r} is part of a cycle")));
-            }
-            reachable[r as usize] = set;
+        if let (_, Some(r)) = self.children_first_walk() {
+            return Err(Error::Corrupt(format!("rule {r} is part of a cycle")));
         }
         Ok(())
     }
@@ -313,6 +306,23 @@ mod tests {
             vec![Symbol::Rule(1)],
         ]);
         assert!(g.validate().is_err());
+        // A rule referencing itself, and a cycle unreachable from the root.
+        let self_loop = Grammar::new(vec![vec![Symbol::Word(0)], vec![Symbol::Rule(1)]]);
+        assert!(self_loop.validate().is_err());
+        let detached = Grammar::new(vec![
+            vec![Symbol::Word(0)],
+            vec![Symbol::Rule(2), Symbol::Word(1)],
+            vec![Symbol::Word(2), Symbol::Rule(1)],
+        ]);
+        assert!(detached.validate().is_err());
+        // A diamond (two paths to one rule) is not a cycle.
+        let diamond = Grammar::new(vec![
+            vec![Symbol::Rule(1), Symbol::Rule(2)],
+            vec![Symbol::Rule(3)],
+            vec![Symbol::Rule(3)],
+            vec![Symbol::Word(0)],
+        ]);
+        assert!(diamond.validate().is_ok());
     }
 
     #[test]

@@ -102,8 +102,6 @@ pub enum WireErrorCode {
     InvalidArchive,
     /// A worker fault that the sequential fallback could not absorb.
     WorkerPanicked,
-    /// An arena capacity fault that the sequential fallback could not absorb.
-    ArenaCapacity,
     /// The query's deadline passed (while queued or in flight).
     DeadlineExceeded,
     /// The query was cancelled (e.g. shutdown drain timeout).
@@ -117,12 +115,14 @@ pub enum WireErrorCode {
 }
 
 impl WireErrorCode {
+    /// Wire byte of each code.  Byte 4 is unassigned: it named an arena
+    /// capacity failure the CPU engine cannot raise, and reusing it would
+    /// let an older peer misread a new code.
     fn to_byte(self) -> u8 {
         match self {
             WireErrorCode::Config => 1,
             WireErrorCode::InvalidArchive => 2,
             WireErrorCode::WorkerPanicked => 3,
-            WireErrorCode::ArenaCapacity => 4,
             WireErrorCode::DeadlineExceeded => 5,
             WireErrorCode::Cancelled => 6,
             WireErrorCode::Protocol => 7,
@@ -136,7 +136,6 @@ impl WireErrorCode {
             1 => WireErrorCode::Config,
             2 => WireErrorCode::InvalidArchive,
             3 => WireErrorCode::WorkerPanicked,
-            4 => WireErrorCode::ArenaCapacity,
             5 => WireErrorCode::DeadlineExceeded,
             6 => WireErrorCode::Cancelled,
             7 => WireErrorCode::Protocol,
@@ -172,7 +171,6 @@ impl From<&EngineError> for WireError {
             EngineError::Config(_) => WireErrorCode::Config,
             EngineError::InvalidArchive { .. } => WireErrorCode::InvalidArchive,
             EngineError::WorkerPanicked { .. } => WireErrorCode::WorkerPanicked,
-            EngineError::ArenaCapacity { .. } => WireErrorCode::ArenaCapacity,
             EngineError::DeadlineExceeded => WireErrorCode::DeadlineExceeded,
             EngineError::Cancelled => WireErrorCode::Cancelled,
         };

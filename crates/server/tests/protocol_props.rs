@@ -14,8 +14,8 @@ use proptest::prelude::*;
 
 use server::framing::{FrameReader, ReadOutcome};
 use server::protocol::{
-    decode_request, decode_response, encode_request, encode_response, QueryRequest, Request,
-    Response, StatsSnapshot, WireError, WireErrorCode, MAGIC, VERSION,
+    decode_request, decode_response, encode_request, encode_response, ProtocolError, QueryRequest,
+    Request, Response, StatsSnapshot, WireError, WireErrorCode, MAGIC, VERSION,
 };
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::results::{
@@ -149,7 +149,6 @@ proptest! {
             WireErrorCode::Config,
             WireErrorCode::InvalidArchive,
             WireErrorCode::WorkerPanicked,
-            WireErrorCode::ArenaCapacity,
             WireErrorCode::DeadlineExceeded,
             WireErrorCode::Cancelled,
             WireErrorCode::Protocol,
@@ -177,6 +176,29 @@ proptest! {
             prop_assert_eq!(consumed, bytes.len());
             prop_assert_eq!(&decoded, &resp);
             prop_assert_eq!(encode_response(&decoded), bytes);
+        }
+    }
+
+    // Error frames carrying an unassigned code byte — 0, the retired 4, or
+    // anything past the last code — are rejected as malformed, never
+    // decoded as some other code.
+    #[test]
+    fn unassigned_error_codes_are_rejected(
+        high in 10u8..=255,
+        raw_msg in vec(32u8..127, 0..20),
+    ) {
+        let msg = String::from_utf8_lossy(&raw_msg).into_owned();
+        let valid = encode_response(&Response::Error(WireError::new(WireErrorCode::Config, msg)));
+        // The code byte is the first payload byte, right after the header.
+        let code_at = valid.len() - raw_msg.len() - 5;
+        for code in [0u8, 4, high] {
+            let mut frame = valid.clone();
+            frame[code_at] = code;
+            prop_assert!(
+                matches!(decode_response(&frame), Err(ProtocolError::Malformed(_))),
+                "code byte {} must be rejected",
+                code
+            );
         }
     }
 

@@ -1,14 +1,14 @@
 //! Long-lived execution sessions: [`Engine`], [`EngineBuilder`], and the
 //! cached analysis layer shared by every query of a session.
 //!
-//! The per-call entry points ([`run_task_fine_grained`](super::run_task_fine_grained),
-//! [`run_task_with_mode`](super::run_task_with_mode)) rebuild everything on
-//! every call: a fresh [`WorkerPool`] is spawned, the DAG is regrouped into
-//! levels, rule and file weights are repropagated, head/tail buffers are
-//! reassembled.  That is exactly backwards for the serving scenario the
-//! paper (and TADOC before it) targets — the compressed corpus is a
-//! long-lived analytic substrate queried many times, so everything derived
-//! only from the *archive* should be paid for once.
+//! [`Engine`] is the one way to run the fine-grained design; the sequential
+//! baseline is [`run_task`] and the coarse-grained one is
+//! [`run_task_parallel`](crate::parallel::run_task_parallel).  A session
+//! exists because the serving scenario the paper (and TADOC before it)
+//! targets treats the compressed corpus as a long-lived analytic substrate
+//! queried many times, so everything derived only from the *archive* — the
+//! worker pool, the DAG levels, rule and file weights, head/tail buffers —
+//! should be paid for once, not once per query.
 //!
 //! An [`Engine`] borrows the archive and DAG for its whole lifetime
 //! (immutability for free — no invalidation logic exists because no
@@ -41,11 +41,10 @@ use super::head_tail::{build_head_tail, levels_bottom_up, levels_top_down, HeadT
 use super::scratch::ScratchPool;
 use super::{
     build_term_vector_prep, parallel_file_weights, parallel_rule_weights, root_chunks,
-    run_fine_with_cache, sequence_work_items, ExecutionMode, FileWeightLists, FineGrainedConfig,
-    SeqItem, TermVectorPrep, TvScratch,
+    run_fine_with_cache, sequence_work_items, FileWeightLists, FineGrainedConfig, SeqItem,
+    TermVectorPrep, TvScratch,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
-use crate::parallel::{run_task_parallel, ParallelConfig};
 use crate::results::AnalyticsOutput;
 use crate::timing::{Degradation, PhaseTimings, ResultsCacheStats, Timer, WorkStats};
 use crate::weights::file_segments;
@@ -61,11 +60,9 @@ use std::time::{Duration, Instant};
 
 /// A configuration the [`EngineBuilder`] (or [`Engine::run`]) refuses.
 ///
-/// The legacy one-shot wrappers silently normalized these (clamping thread
-/// counts to 1, falling back to the sequential path on `sequence_length ==
-/// 0`); the session API makes them loud instead, because a service that
-/// builds an engine once should learn about a nonsense knob at build time,
-/// not by silently running on one thread forever.
+/// Nonsense knobs are loud errors rather than silent clamps: a service that
+/// builds an engine once should learn about them at build time, not by
+/// running on one thread forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `num_threads` was 0; a pool needs at least the calling thread.
@@ -108,14 +105,14 @@ impl std::error::Error for ConfigError {}
 /// [`EngineBuilder::build`]).  The failure model (see `ARCHITECTURE.md`,
 /// *Failure model & recovery*):
 ///
-/// * A worker panic or arena capacity fault never escapes [`Engine::run`]
-///   as a panic.  The engine heals its pool if the fault poisoned it, then
-///   **degrades**: the query is retried once on the sequential path
-///   (oracle-identical by construction) and succeeds with
+/// * A worker panic never escapes [`Engine::run`] as a panic.  The engine
+///   heals its pool if the fault poisoned it, then **degrades**: the query
+///   is retried once on the sequential path (oracle-identical by
+///   construction) and succeeds with
 ///   [`PhaseTimings::degraded`](crate::timing::PhaseTimings::degraded) set.
-///   [`EngineError::WorkerPanicked`] / [`EngineError::ArenaCapacity`] are
-///   returned only when that fallback *also* fails — a double fault, which
-///   on identical input means the fault is input-shaped, not transient.
+///   [`EngineError::WorkerPanicked`] is returned only when that fallback
+///   *also* fails — a double fault, which on identical input means the
+///   fault is input-shaped, not transient.
 /// * [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`] are
 ///   clean cooperative aborts: the session stays healthy, nothing is
 ///   poisoned, and the next query runs normally.
@@ -137,12 +134,6 @@ pub enum EngineError {
         /// The panic message of the original fine-grained fault.
         message: String,
     },
-    /// An arena capacity bound was violated and the sequential fallback
-    /// failed too.
-    ArenaCapacity {
-        /// The violated bound.
-        error: arena::CapacityError,
-    },
     /// The query's deadline passed before it completed.  The session is
     /// not poisoned; subsequent queries run normally.
     DeadlineExceeded,
@@ -162,10 +153,6 @@ impl std::fmt::Display for EngineError {
                 f,
                 "worker panicked ({message}) and the sequential fallback failed"
             ),
-            EngineError::ArenaCapacity { error } => write!(
-                f,
-                "arena capacity exhausted ({error}) and the sequential fallback failed"
-            ),
             EngineError::DeadlineExceeded => write!(f, "query deadline exceeded"),
             EngineError::Cancelled => write!(f, "query cancelled"),
         }
@@ -176,7 +163,6 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Config(e) => Some(e),
-            EngineError::ArenaCapacity { error } => Some(error),
             _ => None,
         }
     }
@@ -226,9 +212,8 @@ impl CancelToken {
 /// Per-query execution limits for [`Engine::run_with`]: an optional
 /// deadline (a time budget measured from query start) and an optional
 /// [`CancelToken`].  Both are enforced *cooperatively* at chunk boundaries
-/// and between DAG levels on the fine-grained path, so a stuck or oversized
-/// query stops in bounded time without killing the session; the
-/// sequential/coarse paths check them only at query start.
+/// and between DAG levels, so a stuck or oversized query stops in bounded
+/// time without killing the session.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Time budget for the query; `Some(d)` makes the query return
@@ -597,7 +582,7 @@ pub(crate) struct FineCtx<'e> {
 const RESULTS_CACHE_CAP: usize = 256;
 
 /// Whole-output memoization keyed by `(Task, TaskConfig)` — sound because
-/// the archive is immutable for the engine's lifetime and every mode is
+/// the archive is immutable for the engine's lifetime and the engine is
 /// deterministic for a fixed key.  Exact-key semantics: distinct configs
 /// never alias (the full `TaskConfig` is the key, even for tasks that
 /// ignore `sequence_length`).  Opt-in via [`EngineBuilder::results_cache`];
@@ -659,74 +644,28 @@ impl ResultsCache {
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Which execution back end an [`Engine`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ModeKind {
-    Sequential,
-    Coarse,
-    Fine,
-}
-
 /// Configures and validates an [`Engine`].  Created by [`Engine::builder`].
 ///
-/// Defaults: fine-grained mode, `available_parallelism` worker threads, the
-/// default chunk threshold (4096 indices).  [`build`](Self::build) rejects
-/// invalid knobs with a typed [`ConfigError`] — the builder is where the
-/// scattered `max(1)` clamps of the one-shot paths became loud errors.
+/// Defaults: `available_parallelism` worker threads, the default chunk
+/// threshold (4096 indices), results cache off.  [`build`](Self::build)
+/// rejects invalid knobs with a typed [`ConfigError`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineBuilder<'a> {
     archive: &'a TadocArchive,
     dag: &'a Dag,
-    kind: ModeKind,
     num_threads: usize,
     chunk_elements: usize,
     results_cache: bool,
 }
 
 impl<'a> EngineBuilder<'a> {
-    /// Selects the sequential TADOC baseline back end.
-    pub fn sequential(mut self) -> Self {
-        self.kind = ModeKind::Sequential;
-        self
-    }
-
-    /// Selects the coarse-grained (file-partition) parallel back end.
-    pub fn coarse_grained(mut self) -> Self {
-        self.kind = ModeKind::Coarse;
-        self
-    }
-
-    /// Selects the fine-grained level-synchronized back end (the default).
-    pub fn fine_grained(mut self) -> Self {
-        self.kind = ModeKind::Fine;
-        self
-    }
-
-    /// Adopts an existing [`ExecutionMode`] wholesale, including any thread
-    /// count / chunk threshold it carries.
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        match mode {
-            ExecutionMode::Sequential => self.kind = ModeKind::Sequential,
-            ExecutionMode::CoarseGrained(pcfg) => {
-                self.kind = ModeKind::Coarse;
-                self.num_threads = pcfg.num_threads;
-            }
-            ExecutionMode::FineGrained(fcfg) => {
-                self.kind = ModeKind::Fine;
-                self.num_threads = fcfg.num_threads;
-                self.chunk_elements = fcfg.chunk_elements;
-            }
-        }
-        self
-    }
-
-    /// Sets the worker thread count (parallel modes; must be ≥ 1).
+    /// Sets the worker thread count (must be ≥ 1).
     pub fn threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
         self
     }
 
-    /// Sets the chunking threshold (fine mode; must be ≥ 1).
+    /// Sets the chunking threshold (must be ≥ 1).
     pub fn chunk_elements(mut self, chunk_elements: usize) -> Self {
         self.chunk_elements = chunk_elements;
         self
@@ -746,8 +685,7 @@ impl<'a> EngineBuilder<'a> {
     }
 
     /// Validates the configuration **and the archive/DAG structure**, then
-    /// builds the engine, spawning the persistent worker pool for the fine
-    /// mode.
+    /// builds the engine, spawning its persistent worker pool.
     ///
     /// # Errors
     /// [`EngineError::Config`] for a nonsense knob;
@@ -764,31 +702,19 @@ impl<'a> EngineBuilder<'a> {
             return Err(ConfigError::ZeroChunkElements.into());
         }
         validate_archive(self.archive, self.dag)?;
-        let inner = match self.kind {
-            ModeKind::Sequential => EngineInner::Sequential,
-            ModeKind::Coarse => EngineInner::Coarse(ParallelConfig {
-                num_threads: self.num_threads,
-            }),
-            ModeKind::Fine => {
-                let fcfg = FineGrainedConfig {
-                    num_threads: self.num_threads,
-                    chunk_elements: self.chunk_elements,
-                };
-                EngineInner::Fine(Box::new(FineState {
-                    fcfg,
-                    exec: Mutex::new(ExecState {
-                        pool: WorkerPool::new(fcfg.num_threads),
-                        epochs_retired: 0,
-                    }),
-                    analysis: Analysis::default(),
-                    tv_scratch: ScratchPool::default(),
-                }))
-            }
-        };
         Ok(Engine {
             archive: self.archive,
             dag: self.dag,
-            inner,
+            fcfg: FineGrainedConfig {
+                num_threads: self.num_threads,
+                chunk_elements: self.chunk_elements,
+            },
+            exec: Mutex::new(ExecState {
+                pool: WorkerPool::new(self.num_threads),
+                epochs_retired: 0,
+            }),
+            analysis: Analysis::default(),
+            tv_scratch: ScratchPool::default(),
             results: self.results_cache.then(ResultsCache::default),
         })
     }
@@ -828,7 +754,7 @@ fn validate_archive(archive: &TadocArchive, dag: &Dag) -> Result<(), EngineError
 // Engine
 // ---------------------------------------------------------------------------
 
-/// The execution half of the fine mode's state — the admission point.
+/// The execution half of the session state — the admission point.
 ///
 /// **Admission contract**: one query at a time owns the shared persistent
 /// pool, claimed with `try_lock` (never blocking).  A query that finds the
@@ -846,45 +772,27 @@ struct ExecState {
     epochs_retired: u64,
 }
 
-/// The fine mode's owned state, boxed to keep [`EngineInner`]'s variants
-/// near the same size.  Split by mutability: `exec` (the pool) is the one
-/// exclusively-held piece, `analysis` is immutable-once-filled and shared
-/// by every concurrent query, `tv_scratch` leases per-query mutable
-/// regions.
-struct FineState {
-    fcfg: FineGrainedConfig,
-    exec: Mutex<ExecState>,
-    analysis: Analysis,
-    tv_scratch: ScratchPool<Vec<TvScratch>>,
-}
-
-enum EngineInner {
-    Sequential,
-    Coarse(ParallelConfig),
-    Fine(Box<FineState>),
-}
-
-/// A long-lived, **concurrently shareable** execution session over one
-/// compressed archive.
+/// A long-lived, **concurrently shareable** fine-grained execution session
+/// over one compressed archive.
 ///
 /// The engine borrows the archive and DAG for its whole lifetime and owns
 /// the persistent [`WorkerPool`] plus the once-filled analysis layer, so
 /// repeated queries pay the shared initialization (DAG levels, rule/file
 /// weights, head/tail buffers, chunk decompositions, the term-vector CSR)
 /// **once** instead of once per call.  Outputs are byte-identical to the
-/// one-shot paths; only the amortization differs, and it is observable via
+/// sequential oracle [`run_task`]; the amortization is observable via
 /// [`PhaseTimings::shared_init`] / [`PhaseTimings::warm`].
 ///
 /// Every query method takes `&self`, and `Engine` is [`Sync`]: N client
 /// threads may query one shared engine simultaneously
-/// (`std::thread::scope` plus `&engine` is all it takes).  Concurrent
-/// queries share the analysis
-/// layer (first toucher fills, everyone else reads), lease any mutable
-/// scratch from a typed pool, and contend only for the worker pool itself.
-/// The admission contract: one query at a time owns the shared pool
-/// (claimed with a non-blocking `try_lock`); a query finding it busy runs
-/// inline on a transient single-worker pool rather than queueing, trading
-/// parallel speedup for immediate admission and bounded latency.
+/// (`std::thread::scope` plus `&engine` is all it takes).  The session
+/// state is split by mutability: the worker pool is the one
+/// exclusively-held piece, the analysis layer is immutable-once-filled and
+/// shared by every concurrent query, and mutable scratch is leased per query
+/// from a typed pool.  The admission contract: one query at a time owns the
+/// shared pool (claimed with a non-blocking `try_lock`); a query finding it
+/// busy runs inline on a transient single-worker pool rather than queueing,
+/// trading parallel speedup for immediate admission and bounded latency.
 ///
 /// ```
 /// use sequitur::compress::{compress_corpus, CompressOptions};
@@ -925,32 +833,25 @@ enum EngineInner {
 pub struct Engine<'a> {
     archive: &'a TadocArchive,
     dag: &'a Dag,
-    inner: EngineInner,
+    fcfg: FineGrainedConfig,
+    exec: Mutex<ExecState>,
+    analysis: Analysis,
+    tv_scratch: ScratchPool<Vec<TvScratch>>,
     /// Whole-output memoization, present when the builder enabled it.
     results: Option<ResultsCache>,
 }
 
 impl<'a> Engine<'a> {
-    /// Starts building a session over `archive`/`dag` (fine-grained mode,
-    /// default thread count and chunk threshold).
+    /// Starts building a session over `archive`/`dag` (default thread count
+    /// and chunk threshold).
     pub fn builder(archive: &'a TadocArchive, dag: &'a Dag) -> EngineBuilder<'a> {
         let defaults = FineGrainedConfig::default();
         EngineBuilder {
             archive,
             dag,
-            kind: ModeKind::Fine,
             num_threads: defaults.num_threads,
             chunk_elements: defaults.chunk_elements,
             results_cache: false,
-        }
-    }
-
-    /// The execution mode this session dispatches to.
-    pub fn mode(&self) -> ExecutionMode {
-        match &self.inner {
-            EngineInner::Sequential => ExecutionMode::Sequential,
-            EngineInner::Coarse(pcfg) => ExecutionMode::CoarseGrained(*pcfg),
-            EngineInner::Fine(state) => ExecutionMode::FineGrained(state.fcfg),
         }
     }
 
@@ -961,41 +862,27 @@ impl<'a> Engine<'a> {
 
     /// Number of barrier epochs the session has dispatched so far across
     /// every pool it has owned — the persistent pool, healed replacements,
-    /// and transient inline pools of contended queries (0 for the
-    /// sequential/coarse modes, which own no pool).  Strictly increasing.
+    /// and transient inline pools of contended queries.  Strictly
+    /// increasing.
     pub fn epochs(&self) -> u64 {
-        match &self.inner {
-            EngineInner::Fine(state) => {
-                let exec = state.exec.lock().unwrap_or_else(PoisonError::into_inner);
-                exec.epochs_retired + exec.pool.epochs()
-            }
-            _ => 0,
-        }
+        let exec = self.exec.lock().unwrap_or_else(PoisonError::into_inner);
+        exec.epochs_retired + exec.pool.epochs()
     }
 
-    /// Runs `f` against the session's persistent worker pool (fine mode
-    /// only; `None` otherwise).  The pool is exclusively held for the
-    /// duration of `f` — a concurrent query arriving meanwhile is admitted
-    /// inline per the admission contract, never blocked.
-    pub fn with_worker_pool<R>(&self, f: impl FnOnce(&WorkerPool) -> R) -> Option<R> {
-        match &self.inner {
-            EngineInner::Fine(state) => {
-                let exec = state.exec.lock().unwrap_or_else(PoisonError::into_inner);
-                Some(f(&exec.pool))
-            }
-            _ => None,
-        }
+    /// Runs `f` against the session's persistent worker pool.  The pool is
+    /// exclusively held for the duration of `f` — a concurrent query
+    /// arriving meanwhile is admitted inline per the admission contract,
+    /// never blocked.
+    pub fn with_worker_pool<R>(&self, f: impl FnOnce(&WorkerPool) -> R) -> R {
+        let exec = self.exec.lock().unwrap_or_else(PoisonError::into_inner);
+        f(&exec.pool)
     }
 
-    /// Number of analysis-layer fill computations executed so far (0 for
-    /// the sequential/coarse modes, which keep no analysis layer).  Each
+    /// Number of analysis-layer fill computations executed so far.  Each
     /// shared artifact counts once no matter how many concurrent queries
     /// raced to first-touch it — the "filled exactly once" proof hook.
     pub fn analysis_fills(&self) -> u64 {
-        match &self.inner {
-            EngineInner::Fine(state) => state.analysis.fills(),
-            _ => 0,
-        }
+        self.analysis.fills()
     }
 
     /// Cumulative results-cache `(hits, misses)`, or `None` when the cache
@@ -1013,18 +900,16 @@ impl<'a> Engine<'a> {
     /// See [`EngineError`] for the full failure model; with no limits
     /// attached, the reachable errors are [`EngineError::Config`] (a
     /// sequence-sensitive task with `sequence_length == 0`) and the
-    /// double-fault variants [`EngineError::WorkerPanicked`] /
-    /// [`EngineError::ArenaCapacity`].
+    /// double-fault [`EngineError::WorkerPanicked`].
     pub fn run(&self, task: Task, cfg: TaskConfig) -> Result<TaskExecution, EngineError> {
         self.run_with(task, cfg, &QueryOptions::default())
     }
 
     /// Runs one task under per-query limits (deadline, cancellation).
     ///
-    /// The limits are enforced cooperatively: the fine-grained path checks
-    /// them at every chunk boundary and between DAG levels, so an abort
-    /// surfaces in bounded time and never poisons the session; the
-    /// sequential/coarse paths check them only before the query starts.
+    /// The limits are enforced cooperatively: the engine checks them at
+    /// every chunk boundary and between DAG levels, so an abort surfaces in
+    /// bounded time and never poisons the session.
     ///
     /// # Errors
     /// [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`] for
@@ -1038,8 +923,7 @@ impl<'a> Engine<'a> {
         if task.is_sequence_sensitive() && cfg.sequence_length == 0 {
             return Err(ConfigError::ZeroSequenceLength { task }.into());
         }
-        // Pre-flight: an already-tripped limit fails before any work, on
-        // every path (the sequential/coarse backends have no checkpoints).
+        // Pre-flight: an already-tripped limit fails before any work.
         if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(EngineError::Cancelled);
         }
@@ -1062,22 +946,8 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        let computed = match &self.inner {
-            EngineInner::Sequential => Ok(run_task(self.archive, self.dag, task, cfg)),
-            EngineInner::Coarse(pcfg) => {
-                Ok(run_task_parallel(self.archive, self.dag, task, cfg, *pcfg))
-            }
-            EngineInner::Fine(state) => run_fine(
-                self.archive,
-                self.dag,
-                task,
-                cfg,
-                state,
-                opts.cancel.as_ref().map(CancelToken::flag),
-                deadline,
-            ),
-        };
-        let mut exec = computed?;
+        let cancel = opts.cancel.as_ref().map(CancelToken::flag);
+        let mut exec = self.run_fine(task, cfg, cancel, deadline)?;
         if let Some(cache) = &self.results {
             if exec.timings.degraded.is_none() {
                 cache.insert(task, cfg, exec.output.clone());
@@ -1104,126 +974,113 @@ impl<'a> Engine<'a> {
         }
         specs.iter().map(|s| self.run(s.task, s.cfg)).collect()
     }
-}
 
-/// The fine path's admission point (see [`ExecState`] for the contract):
-/// claims the shared pool with a non-blocking `try_lock`, or — when another
-/// query holds it — runs inline on a transient single-worker pool, folding
-/// the transient pool's dispatched epochs into the shared accounting
-/// afterwards so [`Engine::epochs`] stays monotonic.
-fn run_fine(
-    archive: &TadocArchive,
-    dag: &Dag,
-    task: Task,
-    cfg: TaskConfig,
-    state: &FineState,
-    cancel: Option<Arc<AtomicBool>>,
-    deadline: Option<Instant>,
-) -> Result<TaskExecution, EngineError> {
-    let ctx = FineCtx {
-        fcfg: state.fcfg,
-        analysis: &state.analysis,
-        tv_scratch: &state.tv_scratch,
-    };
-    match state.exec.try_lock() {
-        Ok(mut exec) => run_fine_on_pool(archive, dag, task, cfg, ctx, &mut exec, cancel, deadline),
-        Err(TryLockError::Poisoned(poisoned)) => {
-            // The ladder below never unwinds while the guard is held, so a
-            // poisoned mutex is unreachable — but heal defensively rather
-            // than asserting on a std implementation detail.
-            let mut exec = poisoned.into_inner();
-            run_fine_on_pool(archive, dag, task, cfg, ctx, &mut exec, cancel, deadline)
-        }
-        Err(TryLockError::WouldBlock) => {
-            let mut local = ExecState {
-                pool: WorkerPool::new(1),
-                epochs_retired: 0,
-            };
-            let result =
-                run_fine_on_pool(archive, dag, task, cfg, ctx, &mut local, cancel, deadline);
-            let dispatched = local.epochs_retired + local.pool.epochs();
-            state
-                .exec
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .epochs_retired += dispatched;
-            result
+    /// The admission point (see [`ExecState`] for the contract): claims the
+    /// shared pool with a non-blocking `try_lock`, or — when another query
+    /// holds it — runs inline on a transient single-worker pool, folding
+    /// the transient pool's dispatched epochs into the shared accounting
+    /// afterwards so [`Engine::epochs`] stays monotonic.
+    fn run_fine(
+        &self,
+        task: Task,
+        cfg: TaskConfig,
+        cancel: Option<Arc<AtomicBool>>,
+        deadline: Option<Instant>,
+    ) -> Result<TaskExecution, EngineError> {
+        match self.exec.try_lock() {
+            Ok(mut exec) => self.run_fine_on_pool(task, cfg, &mut exec, cancel, deadline),
+            Err(TryLockError::Poisoned(poisoned)) => {
+                // The ladder below never unwinds while the guard is held, so
+                // a poisoned mutex is unreachable — but heal defensively
+                // rather than asserting on a std implementation detail.
+                let mut exec = poisoned.into_inner();
+                self.run_fine_on_pool(task, cfg, &mut exec, cancel, deadline)
+            }
+            Err(TryLockError::WouldBlock) => {
+                let mut local = ExecState {
+                    pool: WorkerPool::new(1),
+                    epochs_retired: 0,
+                };
+                let result = self.run_fine_on_pool(task, cfg, &mut local, cancel, deadline);
+                let dispatched = local.epochs_retired + local.pool.epochs();
+                self.exec
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .epochs_retired += dispatched;
+                result
+            }
         }
     }
-}
 
-/// The fine path's fault-isolation shell: runs the query on the
-/// exclusively-held pool inside `catch_unwind`, classifies any escaped
-/// payload, heals the pool if the fault poisoned it, and degrades to the
-/// sequential oracle path once.  Faults are **per-query** by construction:
-/// the analysis fills are panic-atomic (a faulted fill leaves its cell
-/// empty), scratch leases dropped mid-unwind are discarded rather than
-/// recycled, and the query's charge is stack-local — so nothing a fault
-/// touches is visible to concurrent or subsequent queries.
-///
-/// The recovery ladder, in order:
-/// 1. [`Abort`] payloads (cancel/deadline checkpoints fired) are clean:
-///    return the matching [`EngineError`] — nothing is poisoned, no retry.
-/// 2. Anything else is a real fault.  If it poisoned the pool, rebuild it
-///    (same thread count), retiring the old pool's epoch count so
-///    [`Engine::epochs`] keeps increasing monotonically.
-/// 3. Retry once on the sequential path — byte-identical output by
-///    construction — and mark the result
-///    [`degraded`](crate::timing::PhaseTimings::degraded).
-/// 4. If the sequential retry *also* faults (a double fault: the input
-///    itself is panic-shaped, not a transient), return the typed error
-///    classified from the original payload.
-#[allow(clippy::too_many_arguments)] // internal shell mirroring the ladder's inputs
-fn run_fine_on_pool(
-    archive: &TadocArchive,
-    dag: &Dag,
-    task: Task,
-    cfg: TaskConfig,
-    ctx: FineCtx<'_>,
-    exec: &mut ExecState,
-    cancel: Option<Arc<AtomicBool>>,
-    deadline: Option<Instant>,
-) -> Result<TaskExecution, EngineError> {
-    exec.pool.install_control(cancel, deadline);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_fine_with_cache(archive, dag, task, cfg, ctx, &exec.pool)
-    }));
-    exec.pool.clear_control();
-    let payload = match result {
-        Ok(execution) => return Ok(execution),
-        Err(payload) => payload,
-    };
+    /// The fault-isolation shell: runs the query on the exclusively-held
+    /// pool inside `catch_unwind`, classifies any escaped payload, heals the
+    /// pool if the fault poisoned it, and degrades to the sequential oracle
+    /// path once.  Faults are **per-query** by construction: the analysis
+    /// fills are panic-atomic (a faulted fill leaves its cell empty),
+    /// scratch leases dropped mid-unwind are discarded rather than recycled,
+    /// and the query's charge is stack-local — so nothing a fault touches is
+    /// visible to concurrent or subsequent queries.
+    ///
+    /// The recovery ladder, in order:
+    /// 1. [`Abort`] payloads (cancel/deadline checkpoints fired) are clean:
+    ///    return the matching [`EngineError`] — nothing is poisoned, no
+    ///    retry.
+    /// 2. Anything else is a worker fault.  If it poisoned the pool, rebuild
+    ///    it (same thread count), retiring the old pool's epoch count so
+    ///    [`Engine::epochs`] keeps increasing monotonically.
+    /// 3. Retry once on the sequential path — byte-identical output by
+    ///    construction — and mark the result
+    ///    [`degraded`](crate::timing::PhaseTimings::degraded).
+    /// 4. If the sequential retry *also* faults (a double fault: the input
+    ///    itself is panic-shaped, not a transient), return
+    ///    [`EngineError::WorkerPanicked`] carrying the original message.
+    fn run_fine_on_pool(
+        &self,
+        task: Task,
+        cfg: TaskConfig,
+        exec: &mut ExecState,
+        cancel: Option<Arc<AtomicBool>>,
+        deadline: Option<Instant>,
+    ) -> Result<TaskExecution, EngineError> {
+        let ctx = FineCtx {
+            fcfg: self.fcfg,
+            analysis: &self.analysis,
+            tv_scratch: &self.tv_scratch,
+        };
+        exec.pool.install_control(cancel, deadline);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_fine_with_cache(self.archive, self.dag, task, cfg, ctx, &exec.pool)
+        }));
+        exec.pool.clear_control();
+        let payload = match result {
+            Ok(execution) => return Ok(execution),
+            Err(payload) => payload,
+        };
 
-    if let Some(abort) = payload.downcast_ref::<Abort>() {
-        return Err(match abort {
-            Abort::Cancelled => EngineError::Cancelled,
-            Abort::DeadlineExceeded => EngineError::DeadlineExceeded,
-        });
-    }
-
-    let capacity = payload.downcast_ref::<arena::CapacityError>().copied();
-    if exec.pool.is_poisoned() {
-        let healed = WorkerPool::new(exec.pool.threads());
-        let old = std::mem::replace(&mut exec.pool, healed);
-        exec.epochs_retired += old.epochs();
-    }
-    let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_task(archive, dag, task, cfg)
-    }));
-    match retry {
-        Ok(mut execution) => {
-            execution.timings.degraded = Some(match capacity {
-                Some(_) => Degradation::ArenaCapacity,
-                None => Degradation::WorkerPanic,
+        if let Some(abort) = payload.downcast_ref::<Abort>() {
+            return Err(match abort {
+                Abort::Cancelled => EngineError::Cancelled,
+                Abort::DeadlineExceeded => EngineError::DeadlineExceeded,
             });
-            Ok(execution)
         }
-        Err(_) => Err(match capacity {
-            Some(error) => EngineError::ArenaCapacity { error },
-            None => EngineError::WorkerPanicked {
+
+        if exec.pool.is_poisoned() {
+            let healed = WorkerPool::new(exec.pool.threads());
+            let old = std::mem::replace(&mut exec.pool, healed);
+            exec.epochs_retired += old.epochs();
+        }
+        let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_task(self.archive, self.dag, task, cfg)
+        }));
+        match retry {
+            Ok(mut execution) => {
+                execution.timings.degraded = Some(Degradation::WorkerPanic);
+                Ok(execution)
+            }
+            Err(_) => Err(EngineError::WorkerPanicked {
                 message: panic_message(payload.as_ref()),
-            },
-        }),
+            }),
+        }
     }
 }
 
@@ -1243,7 +1100,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("mode", &self.mode().name())
+            .field("threads", &self.fcfg.num_threads)
+            .field("chunk_elements", &self.fcfg.chunk_elements)
             .field("epochs", &self.epochs())
             .finish()
     }
@@ -1253,7 +1111,6 @@ impl std::fmt::Debug for Engine<'_> {
 #[allow(clippy::unwrap_used)] // tests may assert by unwrapping
 mod tests {
     use super::*;
-    use crate::fine_grained::run_task_with_mode;
     use sequitur::compress::{compress_corpus, CompressOptions};
 
     fn build_archive() -> (TadocArchive, Dag) {
@@ -1397,50 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_agree_through_the_engine_facade() {
-        let (archive, dag) = build_archive();
-        let cfg = TaskConfig::default();
-        for task in Task::ALL {
-            let baseline = run_task(&archive, &dag, task, cfg);
-            let sequential = Engine::builder(&archive, &dag).sequential().build().unwrap();
-            let coarse = Engine::builder(&archive, &dag)
-                .coarse_grained()
-                .threads(3)
-                .build()
-                .unwrap();
-            let fine = Engine::builder(&archive, &dag).threads(3).build().unwrap();
-            for engine in [&sequential, &coarse, &fine] {
-                let got = engine.run(task, cfg).unwrap();
-                assert_eq!(
-                    got.output,
-                    baseline.output,
-                    "mode {} diverges on {}",
-                    engine.mode().name(),
-                    task.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn engine_matches_one_shot_wrapper_outputs() {
-        let (archive, dag) = build_archive();
-        let cfg = TaskConfig::default();
-        let engine = Engine::builder(&archive, &dag).threads(4).build().unwrap();
-        for task in Task::ALL {
-            let via_engine = engine.run(task, cfg).unwrap();
-            let via_wrapper = run_task_with_mode(
-                &archive,
-                &dag,
-                task,
-                cfg,
-                ExecutionMode::FineGrained(FineGrainedConfig::with_threads(4)),
-            );
-            assert_eq!(via_engine.output, via_wrapper.output, "{}", task.name());
-        }
-    }
-
-    #[test]
     fn warm_runs_skip_shared_initialization() {
         let (archive, dag) = build_archive();
         let cfg = TaskConfig::default();
@@ -1493,20 +1306,17 @@ mod tests {
                 engine.run(Task::SequenceCount, cfg).unwrap().output
             })
             .collect();
-        match &engine.inner {
-            EngineInner::Fine(state) => {
-                let slots = state.analysis.head_tail.lock().unwrap();
-                assert_eq!(
-                    slots.map.len(),
-                    HEAD_TAIL_CACHE_CAP,
-                    "cache must stay bounded"
-                );
-                assert!(
-                    !slots.map.contains_key(&1) && !slots.map.contains_key(&2),
-                    "oldest lengths must have been evicted first"
-                );
-            }
-            _ => unreachable!("fine mode owns a cache"),
+        {
+            let slots = engine.analysis.head_tail.lock().unwrap();
+            assert_eq!(
+                slots.map.len(),
+                HEAD_TAIL_CACHE_CAP,
+                "cache must stay bounded"
+            );
+            assert!(
+                !slots.map.contains_key(&1) && !slots.map.contains_key(&2),
+                "oldest lengths must have been evicted first"
+            );
         }
         // An evicted length recomputes (cold) but stays correct.
         let again = engine

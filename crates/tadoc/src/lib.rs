@@ -34,10 +34,7 @@ pub mod timing;
 pub mod weights;
 
 pub use apps::{run_task, Task, TaskConfig};
-pub use fine_grained::{
-    run_task_fine_grained, run_task_with_mode, ConfigError, Engine, EngineBuilder, ExecutionMode,
-    FineGrainedConfig, TaskSpec,
-};
+pub use fine_grained::{ConfigError, Engine, EngineBuilder, FineGrainedConfig, TaskSpec};
 pub use results::{
     AnalyticsOutput, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
     SortResult, TermVectorResult, WordCountResult,

@@ -42,19 +42,16 @@ impl WorkStats {
 }
 
 /// Why a query was served by the sequential fallback instead of the
-/// execution path the session was built for.  Recorded in
+/// fine-grained path.  Recorded in
 /// [`PhaseTimings::degraded`] when the fine-grained path faulted and the
 /// engine transparently retried the query sequentially (oracle-identical by
 /// construction) — the answer is still correct, but a serving layer will
 /// want to alert on the latency cliff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Degradation {
-    /// A worker panicked mid-query; the pool was healed (rebuilt) and the
-    /// query retried on the sequential path.
+    /// A worker panicked mid-query; the pool was healed (rebuilt) if the
+    /// fault poisoned it, and the query retried on the sequential path.
     WorkerPanic,
-    /// An arena capacity bound was violated mid-query; the query was
-    /// retried on the sequential path (which sizes nothing up front).
-    ArenaCapacity,
 }
 
 /// A snapshot of the session results cache taken as a query completed,
@@ -86,10 +83,9 @@ pub struct PhaseTimings {
     /// levels, rule/file weights, head/tail buffers, chunk lists, the
     /// term-vector CSR).  On a cold [`Engine`](crate::fine_grained::Engine)
     /// run this is most of `init`; on a warm run every artifact is served
-    /// from the session cache and this is [`Duration::ZERO`].  The one-shot
-    /// wrapper (`run_task_fine_grained`) never reuses anything, so it pays
-    /// this on every call; the sequential and coarse paths do not break out
-    /// a shared portion and leave it zero.
+    /// from the session cache and this is [`Duration::ZERO`].  The
+    /// sequential and coarse paths share nothing between calls and leave
+    /// it zero.
     pub shared_init: Duration,
     /// Portion of `traversal` spent turning shard rows into the final
     /// [`AnalyticsOutput`](crate::results::AnalyticsOutput): merging the
@@ -99,17 +95,17 @@ pub struct PhaseTimings {
     /// zero.
     pub finalize: Duration,
     /// `true` when every shared artifact the task needed was served from a
-    /// warm session cache (nothing was computed this run).  Always `false`
-    /// for one-shot runs and for the sequential/coarse modes, which cache
-    /// nothing.
+    /// warm [`Engine`](crate::fine_grained::Engine) session (nothing was
+    /// computed this run), including results-cache hits.  Always `false`
+    /// for the sequential and coarse paths, which cache nothing.
     pub warm: bool,
     /// Set when the run was *degraded*: the fine-grained path faulted and
     /// the engine served the query through the sequential fallback instead.
-    /// `None` on every run served by the requested path.
+    /// `None` on every run served by the fine-grained path itself.
     pub degraded: Option<Degradation>,
     /// Results-cache accounting for this query: `Some` only on engines
     /// built with the results cache enabled, `None` everywhere else
-    /// (one-shot wrappers, cache-less engines).
+    /// (the sequential and coarse paths, cache-less engines).
     pub results_cache: Option<ResultsCacheStats>,
 }
 

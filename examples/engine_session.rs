@@ -34,10 +34,7 @@ fn main() {
         .threads(4)
         .build()
         .expect("valid engine configuration");
-    println!(
-        "built a {} engine session (pool parked, cache empty)\n",
-        engine.mode().name()
-    );
+    println!("built {engine:?} (pool parked, cache empty)\n");
 
     // Batched queries: the first pass fills the cache (each task computes
     // only what no earlier task already cached), the second pass is served
@@ -80,15 +77,8 @@ fn main() {
         engine.epochs()
     );
 
-    // The one-shot wrappers remain as the compatibility surface and agree
-    // byte-for-byte with the session.
-    let via_wrapper = run_task_with_mode(
-        &archive,
-        &dag,
-        Task::WordCount,
-        TaskConfig::default(),
-        ExecutionMode::FineGrained(FineGrainedConfig::with_threads(4)),
-    );
-    assert_eq!(via_wrapper.output, cold[0].output);
-    println!("one-shot wrapper output matches the session output");
+    // The session answers exactly what the sequential oracle answers.
+    let oracle = run_task(&archive, &dag, Task::WordCount, TaskConfig::default());
+    assert_eq!(oracle.output, cold[0].output);
+    println!("sequential oracle output matches the session output");
 }

@@ -6,7 +6,6 @@
 use datagen::CorpusConfig;
 use g_tadoc_repro::prelude::*;
 use gtadoc::traversal::TraversalStrategy;
-use tadoc::fine_grained::{run_task_fine_grained, FineGrainedConfig};
 use tadoc::parallel::{run_task_parallel, ParallelConfig};
 
 fn corpora() -> Vec<(&'static str, Vec<(String, String)>)> {
@@ -133,13 +132,12 @@ fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
                 task.name()
             );
             for threads in [1usize, 4, 8] {
-                let fine = run_task_fine_grained(
-                    archive,
-                    &dag,
-                    task,
-                    cfg,
-                    FineGrainedConfig::with_threads(threads),
-                );
+                let fine = Engine::builder(archive, &dag)
+                    .threads(threads)
+                    .build()
+                    .expect("valid archive")
+                    .run(task, cfg)
+                    .expect("valid task config");
                 assert_eq!(
                     fine.output,
                     sequential.output,
@@ -195,13 +193,12 @@ fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
                 "coarse ({threads} threads) vs sequential on {} with an empty file",
                 task.name()
             );
-            let fine = run_task_fine_grained(
-                &archive,
-                &dag,
-                task,
-                cfg,
-                FineGrainedConfig::with_threads(threads),
-            );
+            let fine = Engine::builder(&archive, &dag)
+                .threads(threads)
+                .build()
+                .expect("valid archive")
+                .run(task, cfg)
+                .expect("valid task config");
             assert_eq!(
                 fine.output,
                 sequential.output,
@@ -245,16 +242,13 @@ fn dataset_b_shaped_corpus_agrees_on_all_tasks_at_all_thread_counts() {
         let sequential = run_task(&archive, &dag, task, cfg);
         for threads in [1usize, 4, 8] {
             for chunk_elements in [default_chunk, 512] {
-                let fine = run_task_fine_grained(
-                    &archive,
-                    &dag,
-                    task,
-                    cfg,
-                    FineGrainedConfig {
-                        num_threads: threads,
-                        chunk_elements,
-                    },
-                );
+                let fine = Engine::builder(&archive, &dag)
+                    .threads(threads)
+                    .chunk_elements(chunk_elements)
+                    .build()
+                    .expect("valid archive")
+                    .run(task, cfg)
+                    .expect("valid task config");
                 assert_eq!(
                     fine.output,
                     sequential.output,

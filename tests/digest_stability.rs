@@ -67,16 +67,13 @@ fn fine_grained_digests_match_the_pinned_values() {
     let dag = Dag::from_grammar(&archive.grammar);
     let cfg = TaskConfig::default();
     for threads in [1, 4, 8] {
-        let fine = FineGrainedConfig::with_threads(threads);
+        let engine = Engine::builder(&archive, &dag)
+            .threads(threads)
+            .build()
+            .expect("valid archive");
         for (task, &(name, pinned)) in Task::ALL.into_iter().zip(PINNED) {
             assert_eq!(task.name(), name);
-            let exec = run_task_with_mode(
-                &archive,
-                &dag,
-                task,
-                cfg,
-                ExecutionMode::FineGrained(fine),
-            );
+            let exec = engine.run(task, cfg).expect("valid task config");
             assert_eq!(
                 exec.output.digest(),
                 pinned,

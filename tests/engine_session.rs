@@ -68,38 +68,6 @@ fn one_engine_all_tasks_twice_matches_oracle_on_both_corpus_shapes() {
     }
 }
 
-/// The retained one-shot wrapper and the session facade must agree on every
-/// task and execution mode — the compatibility contract of the redesign.
-#[test]
-fn engine_facade_agrees_with_run_task_with_mode_wrapper() {
-    let corpus = a_shaped_corpus();
-    let archive = compress_corpus(&corpus, CompressOptions::default());
-    let dag = Dag::from_grammar(&archive.grammar);
-    let cfg = TaskConfig::default();
-    let modes = [
-        ExecutionMode::Sequential,
-        ExecutionMode::CoarseGrained(tadoc::parallel::ParallelConfig { num_threads: 3 }),
-        ExecutionMode::FineGrained(FineGrainedConfig::with_threads(3)),
-    ];
-    for mode in modes {
-        let engine = Engine::builder(&archive, &dag)
-            .execution_mode(mode)
-            .build()
-            .expect("valid engine config");
-        for task in Task::ALL {
-            let via_wrapper = run_task_with_mode(&archive, &dag, task, cfg, mode);
-            let via_engine = engine.run(task, cfg).expect("valid task config");
-            assert_eq!(
-                via_engine.output,
-                via_wrapper.output,
-                "mode {} task {} diverges between wrapper and engine",
-                mode.name(),
-                task.name()
-            );
-        }
-    }
-}
-
 /// On a warm engine, a repeated task's recorded init phase must drop versus
 /// its cold run: no shared artifact is recomputed (zero shared-init time and
 /// zero init work), and the init wall-clock shrinks.
@@ -173,9 +141,8 @@ fn pool_survives_many_queries_without_respawning_threads() {
         .build()
         .expect("valid engine config");
 
-    let initial_thread_ids: Vec<(usize, std::thread::ThreadId)> = engine
-        .with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())))
-        .expect("fine mode owns a pool");
+    let initial_thread_ids: Vec<(usize, std::thread::ThreadId)> =
+        engine.with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())));
 
     let mut last_epochs = engine.epochs();
     let cfg = TaskConfig::default();
@@ -195,9 +162,8 @@ fn pool_survives_many_queries_without_respawning_threads() {
         last_epochs = epochs;
     }
 
-    let final_thread_ids: Vec<(usize, std::thread::ThreadId)> = engine
-        .with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())))
-        .expect("fine mode owns a pool");
+    let final_thread_ids: Vec<(usize, std::thread::ThreadId)> =
+        engine.with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())));
     assert_eq!(
         final_thread_ids, initial_thread_ids,
         "worker ids must stay pinned to the same OS threads across queries"
