@@ -12,9 +12,8 @@
 //! [`ServeTransport::InProcess`] calls `Engine::run` directly (measures the
 //! engine's concurrency machinery alone), and [`ServeTransport::Tcp`]
 //! drives a real `tadoc-server` over loopback through the wire protocol —
-//! framing, admission queue, shedding, and executor batching included — and
-//! folds the server's counters (shed, max queue depth, batches) into the
-//! report's `tcp` block.
+//! framing, admission queue and shedding included — and folds the server's
+//! counters (shed, max queue depth) into the report's `tcp` block.
 //!
 //! Every answer is digest-checked against the sequential oracle (computed
 //! once per distinct key before the clock starts), so the load test is also
@@ -209,10 +208,6 @@ pub struct TcpServeStats {
     pub max_queue_depth: u64,
     /// Configured admission queue capacity.
     pub queue_capacity: u64,
-    /// Batches drained by the executors.
-    pub batches: u64,
-    /// Queries that ran as part of a multi-query `run_all` batch.
-    pub batched_queries: u64,
     /// Connections the server accepted.
     pub accepted_connections: u64,
     /// Frames the server failed to parse (must be zero under this load).
@@ -235,6 +230,8 @@ pub struct ServeReport {
     pub clients: usize,
     /// Engine worker threads.
     pub threads: usize,
+    /// Cores the measuring machine offered (`available_parallelism`).
+    pub available_parallelism: usize,
     /// Configured load duration in milliseconds.
     pub duration_ms: u64,
     /// Measured wall-clock of the load window in nanoseconds.
@@ -287,6 +284,9 @@ impl ServeReport {
         let label = format!("dataset {}", self.dataset);
         if self.clients == 0 {
             problems.push(format!("{label}: zero clients"));
+        }
+        if self.available_parallelism == 0 {
+            problems.push(format!("{label}: available_parallelism is zero"));
         }
         if self.total_queries == 0 {
             problems.push(format!("{label}: no query completed"));
@@ -389,9 +389,9 @@ impl ServeReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "SERVE (dataset {}, scale {:.3}, {}): {} clients x {}ms against one {}-thread engine (mix {})\n",
+            "SERVE (dataset {}, scale {:.3}, {}): {} clients x {}ms against one {}-thread engine on {} cores (mix {})\n",
             self.dataset, self.scale, self.transport.name(), self.clients, self.duration_ms,
-            self.threads, self.mix.name()
+            self.threads, self.available_parallelism, self.mix.name()
         ));
         out.push_str(&format!(
             "  {} queries in {:.1}ms -> {:.0} qps | latency p50 {:.3}ms p99 {:.3}ms max {:.3}ms\n",
@@ -417,14 +417,12 @@ impl ServeReport {
         ));
         if let Some(t) = &self.tcp {
             out.push_str(&format!(
-                "  tcp: {} shed / {} refused | max queue depth {}/{} | {} batches ({} batched) | \
+                "  tcp: {} shed / {} refused | max queue depth {}/{} | \
                  {} connections | {} protocol errors\n",
                 t.shed,
                 t.refused,
                 t.max_queue_depth,
                 t.queue_capacity,
-                t.batches,
-                t.batched_queries,
                 t.accepted_connections,
                 t.protocol_errors,
             ));
@@ -662,8 +660,6 @@ fn serve_tcp(
         refused: stats.refused,
         max_queue_depth: stats.max_queue_depth,
         queue_capacity: cfg.queue_depth.max(1) as u64,
-        batches: stats.batches,
-        batched_queries: stats.batched_queries,
         accepted_connections: stats.accepted_connections,
         protocol_errors: stats.protocol_errors,
     };
@@ -713,6 +709,7 @@ fn assemble_report(
         scale: cfg.scale.0,
         clients: cfg.clients,
         threads: cfg.threads,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         duration_ms: cfg.duration.as_millis() as u64,
         elapsed_ns,
         mix: cfg.mix,
@@ -755,7 +752,7 @@ pub const SERVE_NOTES: &[&str] = &[
      validate.",
     "transport=tcp runs drive a real tadoc-server over loopback through the \
      wire protocol: the tcp block records the server's admission counters \
-     (shed, max_queue_depth, batches) and must show zero protocol errors, \
+     (shed, max_queue_depth) and must show zero protocol errors, \
      shed counts that reconcile with what the clients observed, and a queue \
      depth that never exceeded its configured capacity.  Their \
      results_cache hits, misses and hit_rate are null: the cache lives \
@@ -780,12 +777,13 @@ pub fn serve_json(reports: &[ServeReport]) -> String {
     out.push_str("  ],\n  \"runs\": [\n");
     for (i, r) in reports.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"transport\": \"{}\",\n      \"scale\": {:.3},\n      \"clients\": {},\n      \"threads\": {},\n      \"duration_ms\": {},\n      \"elapsed_ns\": {},\n      \"mix\": \"{}\",\n      \"total_queries\": {},\n      \"wrong_answers\": {},\n      \"degraded\": {},\n      \"qps\": {:.3},\n      \"latency\": {{\"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}},\n      \"results_cache\": {{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {}}},\n",
+            "    {{\n      \"dataset\": \"{}\",\n      \"transport\": \"{}\",\n      \"scale\": {:.3},\n      \"clients\": {},\n      \"threads\": {},\n      \"available_parallelism\": {},\n      \"duration_ms\": {},\n      \"elapsed_ns\": {},\n      \"mix\": \"{}\",\n      \"total_queries\": {},\n      \"wrong_answers\": {},\n      \"degraded\": {},\n      \"qps\": {:.3},\n      \"latency\": {{\"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}},\n      \"results_cache\": {{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {}}},\n",
             r.dataset,
             r.transport.name(),
             r.scale,
             r.clients,
             r.threads,
+            r.available_parallelism,
             r.duration_ms,
             r.elapsed_ns,
             r.mix.name(),
@@ -804,15 +802,13 @@ pub fn serve_json(reports: &[ServeReport]) -> String {
         ));
         if let Some(t) = &r.tcp {
             out.push_str(&format!(
-                "      \"tcp\": {{\"queries_answered\": {}, \"shed\": {}, \"client_observed_shed\": {}, \"refused\": {}, \"max_queue_depth\": {}, \"queue_capacity\": {}, \"batches\": {}, \"batched_queries\": {}, \"accepted_connections\": {}, \"protocol_errors\": {}}},\n",
+                "      \"tcp\": {{\"queries_answered\": {}, \"shed\": {}, \"client_observed_shed\": {}, \"refused\": {}, \"max_queue_depth\": {}, \"queue_capacity\": {}, \"accepted_connections\": {}, \"protocol_errors\": {}}},\n",
                 t.queries_answered,
                 t.shed,
                 t.client_observed_shed,
                 t.refused,
                 t.max_queue_depth,
                 t.queue_capacity,
-                t.batches,
-                t.batched_queries,
                 t.accepted_connections,
                 t.protocol_errors,
             ));
@@ -848,6 +844,7 @@ mod tests {
             scale: 0.05,
             clients: 2,
             threads: 2,
+            available_parallelism: 2,
             duration_ms: 50,
             elapsed_ns: 50_000_000,
             mix: ServeMix::All,
@@ -902,6 +899,13 @@ mod tests {
             .schema_problems()
             .iter()
             .any(|p| p.contains("out of order")));
+
+        let mut no_cores = tiny_report();
+        no_cores.available_parallelism = 0;
+        assert!(no_cores
+            .schema_problems()
+            .iter()
+            .any(|p| p.contains("available_parallelism")));
 
         let mut bad_probes = tiny_report();
         bad_probes.cache_counters = Some((0, 8));
@@ -961,8 +965,6 @@ mod tests {
             refused: 0,
             max_queue_depth: 3,
             queue_capacity: 4,
-            batches: 5,
-            batched_queries: 6,
             accepted_connections: 2,
             protocol_errors: 0,
         });
@@ -1034,6 +1036,7 @@ mod tests {
             "\"hit_rate\"",
             "\"total_queries\"",
             "\"wrong_answers\"",
+            "\"available_parallelism\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

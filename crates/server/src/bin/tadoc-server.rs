@@ -5,7 +5,7 @@
 //! ```text
 //! tadoc-server [--addr 127.0.0.1:7878] [--dataset A] [--scale 0.3]
 //!              [--threads 2] [--handlers 4] [--executors 1]
-//!              [--queue-depth 64] [--batch-max 8] [--no-cache]
+//!              [--queue-depth 64] [--no-cache]
 //! ```
 //!
 //! Prints `listening on <addr>` once ready (with `--addr 127.0.0.1:0` the
@@ -29,7 +29,7 @@ fn print_usage() {
     eprintln!(
         "usage: tadoc-server [--addr HOST:PORT] [--dataset A-E] [--scale F]\n\
          \x20                   [--threads N] [--handlers N] [--executors N]\n\
-         \x20                   [--queue-depth N] [--batch-max N] [--no-cache]\n\
+         \x20                   [--queue-depth N] [--no-cache]\n\
          \n\
          Serves the compressed archive of one synthetic dataset over the\n\
          TADOC wire protocol until a Shutdown frame arrives.\n\
@@ -42,7 +42,6 @@ fn print_usage() {
          --handlers N       connection handler threads (default 4)\n\
          --executors N      executor threads (default 1)\n\
          --queue-depth N    admission queue capacity (default 64)\n\
-         --batch-max N      max queries drained per executor turn (default 8)\n\
          --no-cache         disable the engine's results cache"
     );
 }
@@ -95,7 +94,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--queue-depth" => {
                 opts.config.queue_depth = parse_count(&value("a queue capacity")?, flag)?
             }
-            "--batch-max" => opts.config.batch_max = parse_count(&value("a batch size")?, flag)?,
             "--no-cache" => opts.config.results_cache = false,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag: {other}")),
@@ -148,13 +146,11 @@ fn main() -> ExitCode {
         Ok(stats) => {
             eprintln!(
                 "shut down: {} queries answered, {} shed, {} refused, max queue depth {} \
-                 ({} batches, {} batched queries, {} protocol errors, {} connections)",
+                 ({} protocol errors, {} connections)",
                 stats.queries_answered,
                 stats.shed,
                 stats.refused,
                 stats.max_queue_depth,
-                stats.batches,
-                stats.batched_queries,
                 stats.protocol_errors,
                 stats.accepted_connections,
             );

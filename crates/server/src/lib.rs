@@ -11,10 +11,9 @@
 //!   short reads and poll timeouts without losing partial frames.
 //! * [`queue`] — the bounded admission queue with shed-on-full semantics.
 //! * [`server`] — the std-TCP server: acceptor, fixed connection handler
-//!   pool, bounded admission in front of one shared engine session,
-//!   deadline/cancellation plumbed through `run_with`, compatible queued
-//!   queries batched through `run_all`, graceful drain-then-refuse
-//!   shutdown.
+//!   pool, bounded admission in front of executors that run one query at a
+//!   time on one shared engine session, deadline/cancellation plumbed
+//!   through `run_with`, graceful drain-then-refuse shutdown.
 //! * [`client`] — a blocking client library (the `tadoc-client` CLI and the
 //!   bench harness's TCP transport both build on it).
 //!

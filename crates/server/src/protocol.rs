@@ -191,9 +191,11 @@ pub struct StatsSnapshot {
     pub refused: u64,
     /// High-water mark of the admission queue depth.
     pub max_queue_depth: u64,
-    /// Batches drained from the admission queue.
+    /// Always 0: executors run one query per turn and never batch.  The
+    /// field keeps the Stats frame layout (and `VERSION`) unchanged; Stats
+    /// v2 removes it together with the benchmark that still reads it.
     pub batches: u64,
-    /// Queries that drained as part of a multi-query `run_all` batch.
+    /// Always 0, for the same reason as [`batches`](Self::batches).
     pub batched_queries: u64,
     /// Frames that failed to parse.
     pub protocol_errors: u64,

@@ -3,16 +3,12 @@
 //! Admission control beyond the engine's try-lock: handlers
 //! [`try_push`](AdmissionQueue::try_push) (never block, never grow the queue
 //! past its capacity — a full queue sheds the request immediately),
-//! executors [`drain`](AdmissionQueue::drain) up to a batch of work,
-//! blocking while the queue is empty and open.
-//! [`close`](AdmissionQueue::close) wakes every
-//! waiting executor; drains after close still hand out the remaining
-//! admitted work (graceful shutdown = drain, then refuse), and return `None`
-//! once the queue is both closed and empty.
-//!
-//! The queue also keeps the high-water mark of its depth, which the serving
-//! report surfaces (`max_queue_depth`) to show how close the system ran to
-//! shedding.
+//! executors [`pop`](AdmissionQueue::pop) one job at a time, blocking while
+//! the queue is empty and open.  [`close`](AdmissionQueue::close) wakes
+//! every waiting executor; pops after close still hand out the remaining
+//! admitted work, and return `None` once the queue is both closed and
+//! empty.  The server closes the queue only after every handler has
+//! exited, so no push ever meets a closed queue.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -27,14 +23,11 @@ pub enum Push<T> {
     },
     /// The queue is at capacity — the item comes back to be shed.
     Full(T),
-    /// The queue is closed (shutdown) — the item comes back to be refused.
-    Closed(T),
 }
 
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
-    max_depth: usize,
 }
 
 /// A bounded multi-producer multi-consumer queue with shed-on-full
@@ -52,7 +45,6 @@ impl<T> AdmissionQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
-                max_depth: 0,
             }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
@@ -65,37 +57,27 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Non-blocking admission: queues the item, or returns it for shedding
-    /// (full) / refusal (closed).
+    /// when the queue is full.
     pub fn try_push(&self, item: T) -> Push<T> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.closed {
-            return Push::Closed(item);
-        }
         if inner.items.len() >= self.capacity {
             return Push::Full(item);
         }
         inner.items.push_back(item);
         let depth = inner.items.len();
-        inner.max_depth = inner.max_depth.max(depth);
         drop(inner);
         self.ready.notify_one();
         Push::Queued { depth }
     }
 
-    /// Takes up to `max` items, blocking while the queue is empty and open.
-    /// Returns `None` once the queue is closed **and** drained — the
+    /// Takes the oldest item, blocking while the queue is empty and open.
+    /// Returns `None` once the queue is closed **and** empty — the
     /// executor's signal to exit.
-    pub fn drain(&self, max: usize) -> Option<Vec<T>> {
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if !inner.items.is_empty() {
-                let take = max.max(1).min(inner.items.len());
-                let batch: Vec<T> = inner.items.drain(..take).collect();
-                // More work may remain for a sibling executor.
-                if !inner.items.is_empty() {
-                    self.ready.notify_one();
-                }
-                return Some(batch);
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -107,8 +89,8 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Closes the queue: new pushes return [`Push::Closed`], waiting
-    /// executors wake, and remaining items still drain.
+    /// Closes the queue: waiting executors wake, and remaining items are
+    /// still handed out.
     pub fn close(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.closed = true;
@@ -124,14 +106,6 @@ impl<T> AdmissionQueue<T> {
             .items
             .len()
     }
-
-    /// High-water mark of the depth since construction.
-    pub fn max_depth(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .max_depth
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +116,7 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn sheds_when_full_and_tracks_high_water() {
+    fn sheds_when_full() {
         let q = AdmissionQueue::new(2);
         assert!(matches!(q.try_push(1), Push::Queued { depth: 1 }));
         assert!(matches!(q.try_push(2), Push::Queued { depth: 2 }));
@@ -150,51 +124,50 @@ mod tests {
             Push::Full(v) => assert_eq!(v, 3),
             other => panic!("expected Full, got {other:?}"),
         }
-        assert_eq!(q.max_depth(), 2);
         assert_eq!(q.depth(), 2);
     }
 
     #[test]
-    fn drain_batches_and_leaves_the_rest() {
+    fn pop_hands_out_jobs_in_admission_order() {
         let q = AdmissionQueue::new(8);
-        for i in 0..5 {
+        for i in 0..3 {
             assert!(matches!(q.try_push(i), Push::Queued { .. }));
         }
-        let batch = q.drain(3).expect("open queue");
-        assert_eq!(batch, vec![0, 1, 2]);
+        assert_eq!(q.pop(), Some(0));
         assert_eq!(q.depth(), 2);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
-    fn close_refuses_new_work_but_drains_the_old() {
+    fn close_still_hands_out_the_remaining_jobs_then_none() {
         let q = AdmissionQueue::new(8);
         assert!(matches!(q.try_push(7), Push::Queued { .. }));
+        assert!(matches!(q.try_push(8), Push::Queued { .. }));
         q.close();
-        match q.try_push(8) {
-            Push::Closed(v) => assert_eq!(v, 8),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        assert_eq!(q.drain(4), Some(vec![7]));
-        assert_eq!(q.drain(4), None);
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), Some(8));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn blocked_drain_wakes_on_push_and_on_close() {
+    fn blocked_pop_wakes_on_push_and_on_close() {
         let q = Arc::new(AdmissionQueue::new(4));
 
         // Wakes on push.
         let qa = Arc::clone(&q);
-        let h = thread::spawn(move || qa.drain(2));
+        let h = thread::spawn(move || qa.pop());
         thread::sleep(Duration::from_millis(20));
         assert!(matches!(q.try_push(42), Push::Queued { .. }));
-        assert_eq!(h.join().expect("drain thread"), Some(vec![42]));
+        assert_eq!(h.join().expect("pop thread"), Some(42));
 
         // Wakes on close.
         let qa = Arc::clone(&q);
-        let h = thread::spawn(move || qa.drain(2));
+        let h = thread::spawn(move || qa.pop());
         thread::sleep(Duration::from_millis(20));
         q.close();
-        assert_eq!(h.join().expect("drain thread"), None);
+        assert_eq!(h.join().expect("pop thread"), None);
     }
 
     #[test]

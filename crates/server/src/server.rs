@@ -9,24 +9,26 @@
 //!            │                        │ try_push (shed on full)
 //!            │                        v
 //!            │                  AdmissionQueue (bounded)
-//!            │                        │ drain (batch)
+//!            │                        │ pop (one job per turn)
 //!            │                        v
 //!            └─ poke on shutdown  executors ──> shared Engine (&self)
 //! ```
 //!
 //! Admission contract: handlers **never block and never queue unboundedly**
 //! — a full queue sheds the request immediately with
-//! [`Response::Overloaded`].  Admitted queries carry their deadline and the
-//! server's drain [`CancelToken`] through [`Engine::run_with`]; compatible
-//! queued queries (no per-query deadline) drain as one
-//! [`Engine::run_all`] batch so shared prerequisites are computed once.
+//! [`Response::Overloaded`].  Executors are the only callers of the engine:
+//! each pops one admitted query and runs it through [`Engine::run_with`]
+//! with the query's deadline and the server's drain [`CancelToken`].  Work
+//! is shared through the engine's once-filled analysis layer, not by
+//! grouping queries.
 //!
 //! Graceful shutdown (a [`Request::Shutdown`] frame or
-//! [`ServerHandle::shutdown`]): the acceptor stops, open connections close
-//! at their next poll tick, the admitted queue **drains to completion**
-//! (new pushes are refused with `ShuttingDown`), and a watchdog cancels the
-//! drain token if draining exceeds [`ServerConfig::drain_timeout`] so
-//! shutdown always terminates.
+//! [`ServerHandle::shutdown`]): the acceptor stops, and a watchdog starts
+//! that cancels the drain token if draining exceeds
+//! [`ServerConfig::drain_timeout`], so shutdown always terminates.  Each
+//! open connection answers the frame in hand (new queries get
+//! `ShuttingDown`) and closes, so a client that keeps sending cannot hold
+//! the server open.  Admitted queries drain to completion or cancellation.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -40,7 +42,7 @@ use std::time::{Duration, Instant};
 use failpoints::fail_point;
 use sequitur::{Dag, TadocArchive};
 use tadoc::apps::{Task, TaskConfig};
-use tadoc::fine_grained::{CancelToken, Engine, EngineError, QueryOptions, TaskSpec};
+use tadoc::fine_grained::{CancelToken, Engine, EngineError, QueryOptions};
 
 use crate::framing::{FrameReadError, FrameReader, ReadOutcome};
 use crate::protocol::{
@@ -54,12 +56,10 @@ use crate::queue::{AdmissionQueue, Push};
 pub struct ServerConfig {
     /// Connection handler threads (each serves one connection at a time).
     pub handler_threads: usize,
-    /// Executor threads draining the admission queue into the engine.
+    /// Executor threads running admitted queries on the engine.
     pub executor_threads: usize,
     /// Admission queue capacity; a full queue sheds with `Overloaded`.
     pub queue_depth: usize,
-    /// Maximum queries drained (and possibly batched) per executor turn.
-    pub batch_max: usize,
     /// Worker threads of the underlying engine session.
     pub engine_threads: usize,
     /// Whether the engine's results cache is enabled.
@@ -78,7 +78,6 @@ impl Default for ServerConfig {
             handler_threads: 4,
             executor_threads: 1,
             queue_depth: 64,
-            batch_max: 8,
             engine_threads: 2,
             results_cache: true,
             drain_timeout: Duration::from_secs(5),
@@ -123,8 +122,6 @@ struct Counters {
     shed: AtomicU64,
     refused: AtomicU64,
     max_queue_depth: AtomicU64,
-    batches: AtomicU64,
-    batched_queries: AtomicU64,
     protocol_errors: AtomicU64,
 }
 
@@ -140,8 +137,8 @@ impl Counters {
             shed: self.shed.load(Ordering::Relaxed),
             refused: self.refused.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_queries: self.batched_queries.load(Ordering::Relaxed),
+            batches: 0,
+            batched_queries: 0,
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
         }
     }
@@ -267,7 +264,7 @@ impl Server {
                 .map(|_| {
                     let drain_cancel = drain_cancel.clone();
                     let (engine, queue) = (&engine, &queue);
-                    s.spawn(move || executor_loop(engine, queue, shared, config, &drain_cancel))
+                    s.spawn(move || executor_loop(engine, queue, shared, &drain_cancel))
                 })
                 .collect();
             let handlers: Vec<_> = (0..config.handler_threads.max(1))
@@ -279,14 +276,9 @@ impl Server {
 
             accept_loop(&self.listener, &conn_tx, shared);
 
-            // Shutdown: no new connections; handlers finish their current
-            // connection (replies for admitted work included), then exit.
-            drop(conn_tx);
-            for h in handlers {
-                drop(h.join());
-            }
-            // Drain what was admitted, bounded by the drain watchdog.
-            queue.close();
+            // Shutdown: the drain is bounded from here on.  Handlers wait
+            // for their in-flight replies, so the watchdog must run while
+            // they are still joining, not after.
             let watchdog = s.spawn(|| {
                 let expiry = Instant::now() + config.drain_timeout;
                 while !drained.load(Ordering::Acquire) {
@@ -297,6 +289,14 @@ impl Server {
                     thread::sleep(Duration::from_millis(10));
                 }
             });
+            // No new connections; handlers answer the frame in hand on
+            // their current connection, then exit.
+            drop(conn_tx);
+            for h in handlers {
+                drop(h.join());
+            }
+            // Every pusher is gone: executors finish what was admitted.
+            queue.close();
             for e in executors {
                 drop(e.join());
             }
@@ -304,10 +304,6 @@ impl Server {
             drop(watchdog.join());
         });
 
-        shared
-            .counters
-            .max_queue_depth
-            .fetch_max(queue.max_depth() as u64, Ordering::Relaxed);
         Ok(shared.counters.snapshot())
     }
 }
@@ -367,7 +363,8 @@ fn handler_loop(
 }
 
 /// Serves one connection until the peer closes, the stream breaks, framing
-/// becomes unrecoverable, or shutdown closes idle connections.
+/// becomes unrecoverable, or shutdown is signalled (checked before every
+/// read, so a client that never goes idle cannot hold the server open).
 fn serve_connection(
     mut stream: TcpStream,
     queue: &AdmissionQueue<Job>,
@@ -377,15 +374,10 @@ fn serve_connection(
     stream.set_read_timeout(Some(config.read_poll))?;
     stream.set_nodelay(true)?;
     let mut reader = FrameReader::new();
-    loop {
+    while !shared.is_shutting_down() {
         let (kind, payload) = match reader.read_frame(&mut stream) {
             Ok(ReadOutcome::Frame { kind, payload }) => (kind, payload),
-            Ok(ReadOutcome::Idle) => {
-                if shared.is_shutting_down() {
-                    return Ok(());
-                }
-                continue;
-            }
+            Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Closed) => return Ok(()),
             Err(FrameReadError::Protocol(e)) => {
                 // Unrecoverable framing: answer with a typed error, then
@@ -413,9 +405,7 @@ fn serve_connection(
         };
         match request {
             Request::Stats => {
-                let mut snap = shared.counters.snapshot();
-                snap.max_queue_depth = snap.max_queue_depth.max(queue.max_depth() as u64);
-                write_response(&mut stream, &Response::Stats(snap))?;
+                write_response(&mut stream, &Response::Stats(shared.counters.snapshot()))?;
             }
             Request::Shutdown => {
                 write_response(&mut stream, &Response::ShutdownAck)?;
@@ -427,6 +417,7 @@ fn serve_connection(
             }
         }
     }
+    Ok(())
 }
 
 /// Admits one query (or sheds/refuses it) and waits for its answer.
@@ -474,13 +465,6 @@ fn admit_query(
                 capacity: queue.capacity().min(u32::MAX as usize) as u32,
             }
         }
-        Push::Closed(_) => {
-            Counters::bump(&shared.counters.refused);
-            Response::Error(WireError::new(
-                WireErrorCode::ShuttingDown,
-                "server is shutting down",
-            ))
-        }
     }
 }
 
@@ -488,42 +472,18 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
     crate::framing::write_frame(stream, &encode_response(resp))
 }
 
-/// Executor thread: drains admitted queries and runs them on the shared
+/// Executor thread: runs admitted queries one at a time on the shared
 /// engine session until the queue is closed **and** empty.
 fn executor_loop(
     engine: &Engine<'_>,
     queue: &AdmissionQueue<Job>,
     shared: &Shared,
-    config: &ServerConfig,
     drain_cancel: &CancelToken,
 ) {
-    while let Some(batch) = queue.drain(config.batch_max) {
-        Counters::bump(&shared.counters.batches);
-        // Queries without a per-query deadline are compatible: they drain
-        // as one `run_all` batch so shared prerequisites compute once.
-        // Deadline-carrying queries run individually under `run_with`.
-        // During shutdown drain everything runs individually so the drain
-        // token can cut an overlong drain short.
-        let draining = shared.is_shutting_down();
-        let mut plain: Vec<Job> = Vec::new();
-        for job in batch {
-            if job.deadline.is_none() && !draining {
-                plain.push(job);
-            } else {
-                let resp = run_one(engine, &job, drain_cancel);
-                Counters::bump(&shared.counters.queries_answered);
-                drop(job.reply.send(resp));
-            }
-        }
-        if plain.len() >= 2 {
-            run_batch(engine, plain, shared, drain_cancel);
-        } else {
-            for job in plain {
-                let resp = run_one(engine, &job, drain_cancel);
-                Counters::bump(&shared.counters.queries_answered);
-                drop(job.reply.send(resp));
-            }
-        }
+    while let Some(job) = queue.pop() {
+        let resp = run_one(engine, &job, drain_cancel);
+        Counters::bump(&shared.counters.queries_answered);
+        drop(job.reply.send(resp));
     }
 }
 
@@ -547,35 +507,5 @@ fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Respon
             WireErrorCode::Internal,
             "query execution panicked",
         )),
-    }
-}
-
-/// Runs compatible queries as one `run_all` batch, falling back to
-/// individual execution if the batch as a whole fails (one bad spec must
-/// not take down its batch-mates).
-fn run_batch(engine: &Engine<'_>, jobs: Vec<Job>, shared: &Shared, drain_cancel: &CancelToken) {
-    let specs: Vec<TaskSpec> = jobs
-        .iter()
-        .map(|j| TaskSpec {
-            task: j.task,
-            cfg: j.cfg,
-        })
-        .collect();
-    let outcome = catch_unwind(AssertUnwindSafe(|| engine.run_all(&specs)));
-    match outcome {
-        Ok(Ok(execs)) => {
-            for (job, exec) in jobs.iter().zip(execs) {
-                Counters::bump(&shared.counters.queries_answered);
-                Counters::bump(&shared.counters.batched_queries);
-                drop(job.reply.send(Response::Result(exec.output)));
-            }
-        }
-        _ => {
-            for job in jobs {
-                let resp = run_one(engine, &job, drain_cancel);
-                Counters::bump(&shared.counters.queries_answered);
-                drop(job.reply.send(resp));
-            }
-        }
     }
 }

@@ -243,48 +243,6 @@ impl QueryOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Task specs (batched queries)
-// ---------------------------------------------------------------------------
-
-/// One query of a batched [`Engine::run_all`] call: a task plus its
-/// per-query configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskSpec {
-    /// The task to run.
-    pub task: Task,
-    /// Its per-query configuration.
-    pub cfg: TaskConfig,
-}
-
-impl TaskSpec {
-    /// A spec running `task` under the default [`TaskConfig`].
-    pub fn new(task: Task) -> Self {
-        Self {
-            task,
-            cfg: TaskConfig::default(),
-        }
-    }
-
-    /// Overrides the sequence length `l` (only meaningful for the
-    /// sequence-sensitive tasks).
-    pub fn with_sequence_length(mut self, l: usize) -> Self {
-        self.cfg.sequence_length = l;
-        self
-    }
-
-    /// All six tasks under the default configuration, in paper order.
-    pub fn all() -> Vec<TaskSpec> {
-        Task::ALL.into_iter().map(TaskSpec::new).collect()
-    }
-}
-
-impl From<Task> for TaskSpec {
-    fn from(task: Task) -> Self {
-        TaskSpec::new(task)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The analysis layer (immutable, once-filled) and per-query charge
 // ---------------------------------------------------------------------------
 
@@ -798,7 +756,7 @@ struct ExecState {
 /// use sequitur::compress::{compress_corpus, CompressOptions};
 /// use sequitur::Dag;
 /// use tadoc::apps::{Task, TaskConfig};
-/// use tadoc::fine_grained::{Engine, TaskSpec};
+/// use tadoc::fine_grained::Engine;
 ///
 /// let corpus = vec![
 ///     ("a.txt".to_string(), "the cat sat on the mat the cat sat".to_string()),
@@ -817,10 +775,8 @@ struct ExecState {
 /// assert!(warm.timings.warm);
 /// assert!(warm.timings.shared_init.is_zero());
 ///
-/// // Batched queries share prerequisites through the same analysis layer,
-/// // and concurrent clients can share the engine by reference.
-/// let execs = engine.run_all(&TaskSpec::all()).unwrap();
-/// assert_eq!(execs.len(), 6);
+/// // Concurrent clients share the engine (and its analysis layer) by
+/// // reference.
 /// std::thread::scope(|s| {
 ///     for _ in 0..2 {
 ///         s.spawn(|| engine.run(Task::WordCount, TaskConfig::default()).unwrap());
@@ -955,24 +911,6 @@ impl<'a> Engine<'a> {
             exec.timings.results_cache = Some(cache.stats(false));
         }
         Ok(exec)
-    }
-
-    /// Runs a batch of queries on the shared session, computing shared
-    /// prerequisites once (whichever query needs an artifact first builds
-    /// it; everyone after gets it warm).  The whole batch is validated
-    /// before anything runs, so a bad spec never leaves a half-executed
-    /// batch behind.
-    ///
-    /// # Errors
-    /// The first [`EngineError::Config`] among the specs, if any; otherwise
-    /// whatever [`run`](Self::run) returns for the failing query.
-    pub fn run_all(&self, specs: &[TaskSpec]) -> Result<Vec<TaskExecution>, EngineError> {
-        for spec in specs {
-            if spec.task.is_sequence_sensitive() && spec.cfg.sequence_length == 0 {
-                return Err(ConfigError::ZeroSequenceLength { task: spec.task }.into());
-            }
-        }
-        specs.iter().map(|s| self.run(s.task, s.cfg)).collect()
     }
 
     /// The admission point (see [`ExecState`] for the contract): claims the
@@ -1208,17 +1146,6 @@ mod tests {
             engine.run(Task::SequenceCount, cfg).err(),
             Some(EngineError::Config(ConfigError::ZeroSequenceLength {
                 task: Task::SequenceCount
-            }))
-        );
-        // Batch validation happens before anything executes.
-        let specs = [
-            TaskSpec::new(Task::WordCount),
-            TaskSpec::new(Task::RankedInvertedIndex).with_sequence_length(0),
-        ];
-        assert_eq!(
-            engine.run_all(&specs).err(),
-            Some(EngineError::Config(ConfigError::ZeroSequenceLength {
-                task: Task::RankedInvertedIndex
             }))
         );
         assert_eq!(engine.epochs(), 0, "nothing may have run");

@@ -84,9 +84,7 @@ pub mod merge;
 pub(crate) mod scratch;
 pub mod sequences;
 
-pub use engine::{
-    CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions, TaskSpec,
-};
+pub use engine::{CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions};
 
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;

@@ -9,7 +9,6 @@
 //! ```
 
 use g_tadoc_repro::prelude::*;
-use tadoc::fine_grained::TaskSpec;
 
 fn main() {
     println!("generating the NSFRAA-like dataset A (many small files) ...");
@@ -36,16 +35,19 @@ fn main() {
         .expect("valid engine configuration");
     println!("built {engine:?} (pool parked, cache empty)\n");
 
-    // Batched queries: the first pass fills the cache (each task computes
-    // only what no earlier task already cached), the second pass is served
-    // entirely warm.
-    let specs = TaskSpec::all();
+    // Two passes over all six tasks: the first pass fills the cache (each
+    // task computes only what no earlier task already cached), the second
+    // pass is served entirely warm.
+    let cfg = TaskConfig::default();
     println!("== pass 1: cold session (cache filling) ==");
-    let cold = engine.run_all(&specs).expect("valid batch");
-    for (spec, exec) in specs.iter().zip(&cold) {
+    let cold: Vec<_> = Task::ALL
+        .into_iter()
+        .map(|task| engine.run(task, cfg).expect("valid query"))
+        .collect();
+    for (task, exec) in Task::ALL.into_iter().zip(&cold) {
         println!(
             "{:<22} init {:>9.1} µs (shared {:>9.1} µs)  traversal {:>9.1} µs",
-            spec.task.name(),
+            task.name(),
             exec.timings.init.as_secs_f64() * 1e6,
             exec.timings.shared_init.as_secs_f64() * 1e6,
             exec.timings.traversal.as_secs_f64() * 1e6,
@@ -53,8 +55,8 @@ fn main() {
     }
 
     println!("\n== pass 2: warm session (everything cached) ==");
-    let warm = engine.run_all(&specs).expect("valid batch");
-    for ((spec, cold_exec), warm_exec) in specs.iter().zip(&cold).zip(&warm) {
+    for (task, cold_exec) in Task::ALL.into_iter().zip(&cold) {
+        let warm_exec = engine.run(task, cfg).expect("valid query");
         assert_eq!(
             cold_exec.output, warm_exec.output,
             "warm output must be byte-identical"
@@ -64,7 +66,7 @@ fn main() {
         let warm_init = warm_exec.timings.init.as_secs_f64() * 1e6;
         println!(
             "{:<22} init {:>9.1} µs -> {:>7.2} µs  ({:>6.0}x less init)",
-            spec.task.name(),
+            task.name(),
             cold_init,
             warm_init,
             if warm_init > 0.0 { cold_init / warm_init } else { f64::INFINITY },
@@ -78,7 +80,7 @@ fn main() {
     );
 
     // The session answers exactly what the sequential oracle answers.
-    let oracle = run_task(&archive, &dag, Task::WordCount, TaskConfig::default());
+    let oracle = run_task(&archive, &dag, Task::WordCount, cfg);
     assert_eq!(oracle.output, cold[0].output);
     println!("sequential oracle output matches the session output");
 }

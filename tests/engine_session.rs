@@ -5,7 +5,6 @@
 
 use g_tadoc_repro::prelude::*;
 use tadoc::apps::TaskExecution;
-use tadoc::fine_grained::TaskSpec;
 
 /// Dataset-A-shaped corpus: many small files sharing redundant content.
 fn a_shaped_corpus() -> Vec<(String, String)> {
@@ -170,10 +169,10 @@ fn pool_survives_many_queries_without_respawning_threads() {
     );
 }
 
-/// `run_all` computes shared prerequisites once: after a batch over all six
-/// tasks, re-running the batch is fully warm, and outputs match the oracle.
+/// Shared prerequisites are computed once per session: after one pass over
+/// all six tasks, a second pass is fully warm, and outputs match the oracle.
 #[test]
-fn run_all_shares_prerequisites_and_matches_oracle() {
+fn tasks_in_sequence_share_prerequisites_and_match_oracle() {
     let corpus = b_shaped_corpus();
     let archive = compress_corpus(&corpus, CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
@@ -181,25 +180,31 @@ fn run_all_shares_prerequisites_and_matches_oracle() {
         .threads(4)
         .build()
         .expect("valid engine config");
-    let specs = TaskSpec::all();
+    let cfg = TaskConfig::default();
 
-    let first = engine.run_all(&specs).expect("valid batch");
-    let second = engine.run_all(&specs).expect("valid batch");
-    assert_eq!(first.len(), 6);
-    for (spec, (cold, warm)) in specs.iter().zip(first.iter().zip(&second)) {
-        let oracle = run_task(&archive, &dag, spec.task, spec.cfg);
-        assert_eq!(cold.output, oracle.output, "{} batch pass 1", spec.task.name());
-        assert_eq!(warm.output, oracle.output, "{} batch pass 2", spec.task.name());
+    let run_pass = || -> Vec<TaskExecution> {
+        Task::ALL
+            .into_iter()
+            .map(|task| engine.run(task, cfg).expect("valid query"))
+            .collect()
+    };
+    let first = run_pass();
+    let second = run_pass();
+    for (task, (cold, warm)) in Task::ALL.into_iter().zip(first.iter().zip(&second)) {
+        let oracle = run_task(&archive, &dag, task, cfg);
+        assert_eq!(cold.output, oracle.output, "{} pass 1", task.name());
+        assert_eq!(warm.output, oracle.output, "{} pass 2", task.name());
         assert!(
             warm.timings.warm,
-            "{} must be warm on the second batch",
-            spec.task.name()
+            "{} must be warm on the second pass",
+            task.name()
         );
     }
 
-    // Within the first batch, later tasks already share artifacts computed
+    // Within the first pass, later tasks already share artifacts computed
     // by earlier ones: sort reuses wordCount's rule weights and chunks
     // outright, so it must have run fully warm even on pass 1.
+    assert_eq!(Task::ALL[1], Task::Sort);
     assert!(
         first[1].timings.warm,
         "sort shares every artifact with wordCount and must be warm in pass 1"

@@ -55,12 +55,13 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
     failpoints::reset();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
+    let cfg = TaskConfig::default();
     for threads in [1usize, 4, 8] {
         let mut fired = [false; FAILPOINTS.len()];
-        for spec in TaskSpec::all() {
-            let oracle = run_task(&archive, &dag, spec.task, spec.cfg);
+        for task in Task::ALL {
+            let oracle = run_task(&archive, &dag, task, cfg);
             for (site, fired) in FAILPOINTS.into_iter().zip(&mut fired) {
-                let label = format!("site={site} threads={threads} task={}", spec.task.name());
+                let label = format!("site={site} threads={threads} task={}", task.name());
                 let engine = Engine::builder(&archive, &dag)
                     .threads(threads)
                     .build()
@@ -69,7 +70,7 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 // The faulted query must still *succeed* — degraded to the
                 // sequential path, never surfaced as a panic or error.
                 let faulted = engine
-                    .run(spec.task, spec.cfg)
+                    .run(task, cfg)
                     .unwrap_or_else(|e| panic!("{label}: query failed: {e}"));
                 assert_eq!(faulted.output, oracle.output, "{label}: degraded output");
                 // The armed hit is consumed exactly when the site fired, and
@@ -91,7 +92,7 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 failpoints::reset();
                 // The *same* engine keeps serving on the (healed) fine path.
                 let after = engine
-                    .run(spec.task, spec.cfg)
+                    .run(task, cfg)
                     .unwrap_or_else(|e| panic!("{label}: post-fault query failed: {e}"));
                 assert_eq!(after.output, oracle.output, "{label}: post-fault output");
                 assert!(

@@ -8,12 +8,13 @@
 //! handler pool down; a full admission queue sheds with `Overloaded`
 //! instead of queuing unboundedly; expired deadlines answer
 //! `DeadlineExceeded`; and graceful shutdown drains admitted work before
-//! the listener goes away.
+//! the listener goes away, promptly even while a client keeps sending.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use g_tadoc_repro::prelude::*;
 use server::framing::{FrameReader, ReadOutcome};
@@ -48,6 +49,16 @@ fn oracle_digests(archive: &TadocArchive, dag: &Dag) -> HashMap<(Task, TaskConfi
             ((t, cfg), run_task(archive, dag, t, cfg).output.digest())
         })
         .collect()
+}
+
+/// The failpoint registry is process-global: a site armed by one test
+/// would fire in any server running alongside it.  Every test in this file
+/// holds this lock, so its server is the only one running.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Triggers shutdown when dropped, so a panicking test body still lets the
@@ -110,6 +121,7 @@ fn assert_protocol_error(resp: &Response) {
 /// every answer must match the sequential oracle's digest.
 #[test]
 fn concurrent_tcp_clients_get_oracle_identical_answers() {
+    let _guard = serial();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let oracle = oracle_digests(&archive, &dag);
@@ -152,6 +164,7 @@ fn concurrent_tcp_clients_get_oracle_identical_answers() {
 /// pool keeps serving fresh clients afterwards.
 #[test]
 fn bad_frames_get_typed_errors_without_killing_the_pool() {
+    let _guard = serial();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let wc_digest = run_task(&archive, &dag, Task::WordCount, TaskConfig::default())
@@ -249,6 +262,7 @@ fn bad_frames_get_typed_errors_without_killing_the_pool() {
 /// unboundedly: capacity 1, one executor, many closed-loop clients.
 #[test]
 fn full_queue_sheds_with_overloaded() {
+    let _guard = serial();
     let archive = compress_corpus(&large_corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let digest = run_task(&archive, &dag, Task::WordCount, TaskConfig::default())
@@ -259,7 +273,6 @@ fn full_queue_sheds_with_overloaded() {
         handler_threads: 8,
         executor_threads: 1,
         queue_depth: 1,
-        batch_max: 1,
         results_cache: false, // cache hits would finish too fast to overlap
         ..ServerConfig::default()
     };
@@ -310,6 +323,7 @@ fn full_queue_sheds_with_overloaded() {
 /// execution at a chunk boundary.)
 #[test]
 fn expired_deadlines_answer_deadline_exceeded() {
+    let _guard = serial();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
 
@@ -346,6 +360,7 @@ fn expired_deadlines_answer_deadline_exceeded() {
 /// connections are refused.
 #[test]
 fn graceful_shutdown_drains_inflight_queries() {
+    let _guard = serial();
     let archive = compress_corpus(&large_corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let digest = run_task(&archive, &dag, Task::SequenceCount, TaskConfig::default())
@@ -391,22 +406,80 @@ fn graceful_shutdown_drains_inflight_queries() {
     );
 }
 
-/// Fault-injection coverage for the two server-side sites (armed only under
-/// `--features failpoints`): a dropped accept recovers, and an injected
-/// queue-full sheds deterministically.
+/// Serves on a background thread, runs `before_shutdown` against the live
+/// server, then signals shutdown and returns how long `run` took to return.
+fn shutdown_latency(
+    config: ServerConfig,
+    archive: &TadocArchive,
+    dag: &Dag,
+    before_shutdown: impl FnOnce(&ServerHandle),
+) -> Duration {
+    let server = Server::bind("127.0.0.1:0", config).expect("bind loopback");
+    let handle = server.handle();
+    std::thread::scope(|s| {
+        let runner = s.spawn(|| {
+            server.run(archive, dag).expect("server run");
+            Instant::now()
+        });
+        // The guard also shuts the server down if `before_shutdown` panics.
+        let shutdown = ShutdownOnDrop(handle.clone());
+        before_shutdown(&handle);
+        let shutdown_at = Instant::now();
+        drop(shutdown);
+        runner.join().expect("server thread panicked") - shutdown_at
+    })
+}
+
+/// A client that never goes idle cannot hold the server open: once
+/// shutdown is signalled its connection answers the frame in hand and
+/// closes, so `run` returns long before the client would stop on its own.
+#[test]
+fn flooding_client_does_not_block_shutdown() {
+    let _guard = serial();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    std::thread::scope(|s| {
+        let mut flooder = None;
+        let took = shutdown_latency(ServerConfig::default(), &archive, &dag, |handle| {
+            let addr = handle.addr();
+            let flood = s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let start = Instant::now();
+                let mut answered = 0u64;
+                while start.elapsed() < Duration::from_secs(3) {
+                    match client.query(Task::WordCount, TaskConfig::default()) {
+                        Ok(QueryOutcome::Ok(_)) => answered += 1,
+                        Ok(_) => {}
+                        // The server closed the connection.
+                        Err(_) => break,
+                    }
+                }
+                answered
+            });
+            // Shut down only once the flood is being served.
+            while handle.stats().queries_answered < 10 && !flood.is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            flooder = Some(flood);
+        });
+        assert!(
+            took < Duration::from_secs(1),
+            "run returned {took:?} after shutdown while a client kept sending"
+        );
+        let answered = flooder.expect("flooder").join().expect("flooder thread");
+        assert!(answered > 0, "the flood was never served");
+    });
+}
+
+/// Fault-injection coverage (armed only under `--features failpoints`): a
+/// dropped accept recovers, an injected queue-full sheds deterministically,
+/// and stalled chunk boundaries drive in-flight deadline expiry and the
+/// drain watchdog.
 #[cfg(feature = "failpoints")]
 mod faults {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The failpoint registry is process-global; these tests arm/disarm it
-    /// and must not interleave.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// `server-accept` armed once: the first connection is dropped at
     /// accept; the next one is served normally.
@@ -483,6 +556,58 @@ mod faults {
             }
         });
         assert_eq!(stats.queries_answered, 2);
+    }
+
+    /// The drain watchdog bounds a graceful shutdown: every chunk boundary
+    /// stalls, so the query is still in flight when `drain_timeout` runs
+    /// out.  The drain token cancels it, the client gets a typed
+    /// `Cancelled`, and `run` returns promptly.
+    #[test]
+    fn drain_timeout_cancels_a_stalled_inflight_query() {
+        let _guard = serial();
+        failpoints::reset();
+        let archive = compress_corpus(&large_corpus(), CompressOptions::default());
+        let dag = Dag::from_grammar(&archive.grammar);
+        let drain_timeout = Duration::from_millis(50);
+        let config = ServerConfig {
+            drain_timeout,
+            results_cache: false,
+            ..ServerConfig::default()
+        };
+
+        let stalled = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stalled);
+        failpoints::observe("chunk-boundary", move || {
+            flag.store(true, Ordering::Release);
+            std::thread::sleep(Duration::from_millis(100))
+        });
+        let (took, outcome) = std::thread::scope(|s| {
+            let mut worker = None;
+            let took = shutdown_latency(config, &archive, &dag, |handle| {
+                let addr = handle.addr();
+                let query = s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    client
+                        .query(Task::WordCount, TaskConfig::default())
+                        .expect("round trip")
+                });
+                // Shut down only once the query is stalled in the engine.
+                while !stalled.load(Ordering::Acquire) && !query.is_finished() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                worker = Some(query);
+            });
+            (took, worker.expect("worker").join().expect("client thread"))
+        });
+        failpoints::reset();
+        match outcome {
+            QueryOutcome::Denied(e) => assert_eq!(e.code, WireErrorCode::Cancelled),
+            other => panic!("expected the drain watchdog to cancel, got {other:?}"),
+        }
+        assert!(
+            took < Duration::from_secs(1),
+            "run returned {took:?} after shutdown with a {drain_timeout:?} drain timeout"
+        );
     }
 
     /// `server-queue` armed N times: each admission sheds with
