@@ -755,8 +755,9 @@ pub const SERVE_NOTES: &[&str] = &[
      (shed, max_queue_depth) and must show zero protocol errors, \
      shed counts that reconcile with what the clients observed, and a queue \
      depth that never exceeded its configured capacity.  Their \
-     results_cache hits, misses and hit_rate are null: the cache lives \
-     inside the server, which does not export its counters.",
+     results_cache hits, misses and hit_rate are null: the cache is the \
+     server's cache of encoded result frames, and the server does not \
+     export its counters.",
 ];
 
 /// A JSON value, or `null` when it was not observed.

@@ -42,7 +42,8 @@ fn print_usage() {
          --handlers N       connection handler threads (default 4)\n\
          --executors N      executor threads (default 1)\n\
          --queue-depth N    admission queue capacity (default 64)\n\
-         --no-cache         disable the engine's results cache"
+         --no-cache         disable the cache of encoded result frames\n\
+         \x20                  (every query executes and is encoded)"
     );
 }
 

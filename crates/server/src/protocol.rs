@@ -387,14 +387,35 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Append helpers for the encoder.
+/// Builds one whole frame in a single buffer: the header goes in first
+/// with a zero length, the payload is appended after it, and
+/// [`finish`](Self::finish) patches the length in — the payload is never
+/// copied into a second buffer.
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
+    /// Starts a frame of `kind` with room for `payload_hint` payload bytes.
+    fn frame(kind: u8, payload_hint: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload_hint);
+        buf.extend_from_slice(&MAGIC);
+        buf.push(VERSION);
+        buf.push(kind);
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        Self { buf }
+    }
+
+    /// Patches the payload length into the header and returns the frame.
+    /// The only panic-free precondition is a payload of at most
+    /// `MAX_PAYLOAD_LEN` bytes, which every encoder in this module
+    /// guarantees (the columnar payloads are proportional to result sizes
+    /// the server itself produced).
+    fn finish(mut self) -> Vec<u8> {
+        let len = self.buf.len() - HEADER_LEN;
+        debug_assert!(len <= MAX_PAYLOAD_LEN as usize);
+        self.buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf
     }
 
     fn u8(&mut self, v: u8) {
@@ -425,21 +446,6 @@ impl Writer {
 // ---------------------------------------------------------------------------
 // Frame-level encode/decode
 // ---------------------------------------------------------------------------
-
-/// Wraps `payload` in a frame header.  The only panic-free precondition is
-/// `payload.len() <= MAX_PAYLOAD_LEN`, which every encoder in this module
-/// guarantees (the columnar payloads are proportional to result sizes the
-/// server itself produced).
-fn frame(kind: u8, payload: Vec<u8>) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD_LEN as usize);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
 
 /// Parses a frame header from the front of `buf`.
 ///
@@ -517,7 +523,7 @@ fn task_from_tag(tag: u8) -> Result<Task, ProtocolError> {
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::Query(q) => {
-            let mut w = Writer::new();
+            let mut w = Writer::frame(KIND_QUERY, 1 + 8 + 1 + 8);
             w.u8(task_tag(q.task));
             w.u64(q.cfg.sequence_length as u64);
             match q.deadline_ms {
@@ -527,10 +533,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 }
                 None => w.u8(0),
             }
-            frame(KIND_QUERY, w.buf)
+            w.finish()
         }
-        Request::Stats => frame(KIND_STATS, Vec::new()),
-        Request::Shutdown => frame(KIND_SHUTDOWN, Vec::new()),
+        Request::Stats => Writer::frame(KIND_STATS, 0).finish(),
+        Request::Shutdown => Writer::frame(KIND_SHUTDOWN, 0).finish(),
     }
 }
 
@@ -578,16 +584,18 @@ pub fn decode_request(buf: &[u8]) -> Result<(Request, usize), ProtocolError> {
 // Responses
 // ---------------------------------------------------------------------------
 
-fn encode_output(out: &AnalyticsOutput) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Appends a result payload to `w`, reserving its exact size up front.
+fn encode_output(w: &mut Writer, out: &AnalyticsOutput) {
     match out {
         AnalyticsOutput::WordCount(r) => {
+            w.buf.reserve_exact(1 + 8 + r.table.len() * (4 + 8));
             w.u8(1);
             w.u64(r.table.len() as u64);
             w.u32_slice(r.table.keys());
             w.u64_slice(r.table.values());
         }
         AnalyticsOutput::Sort(r) => {
+            w.buf.reserve_exact(1 + 8 + r.ranked.len() * (4 + 8));
             w.u8(2);
             w.u64(r.ranked.len() as u64);
             for &(word, _) in &r.ranked {
@@ -598,8 +606,10 @@ fn encode_output(out: &AnalyticsOutput) -> Vec<u8> {
             }
         }
         AnalyticsOutput::InvertedIndex(r) => {
-            w.u8(3);
             let t = &r.table;
+            let (keys, postings) = (t.keys_flat().len(), t.values_flat().len());
+            w.buf.reserve_exact(1 + 8 + keys * 4 + (keys + 1) * 8 + postings * 4);
+            w.u8(3);
             w.u64(t.num_keys() as u64);
             w.u32_slice(t.keys_flat());
             for &off in t.offsets() {
@@ -608,6 +618,7 @@ fn encode_output(out: &AnalyticsOutput) -> Vec<u8> {
             w.u32_slice(t.values_flat());
         }
         AnalyticsOutput::TermVector(r) => {
+            w.buf.reserve_exact(1 + 8 + (r.num_files() + 1) * 8 + r.total_terms() * (4 + 8));
             w.u8(4);
             w.u64(r.num_files() as u64);
             let mut off = 0u64;
@@ -628,6 +639,7 @@ fn encode_output(out: &AnalyticsOutput) -> Vec<u8> {
             }
         }
         AnalyticsOutput::SequenceCount(r) => {
+            w.buf.reserve_exact(1 + 8 + 8 + r.distinct_sequences() * (r.l * 4 + 8));
             w.u8(5);
             w.u64(r.l as u64);
             w.u64(r.distinct_sequences() as u64);
@@ -639,8 +651,11 @@ fn encode_output(out: &AnalyticsOutput) -> Vec<u8> {
             }
         }
         AnalyticsOutput::RankedInvertedIndex(r) => {
-            w.u8(6);
             let t = &r.table;
+            let (key_words, postings) = (t.keys_flat().len(), t.values_flat().len());
+            let offsets = t.num_keys() + 1;
+            w.buf.reserve_exact(1 + 8 + 8 + key_words * 4 + offsets * 8 + postings * (4 + 8));
+            w.u8(6);
             w.u64(r.l as u64);
             w.u64(t.num_keys() as u64);
             w.u32_slice(t.keys_flat());
@@ -655,7 +670,6 @@ fn encode_output(out: &AnalyticsOutput) -> Vec<u8> {
             }
         }
     }
-    w.buf
 }
 
 /// Checks that width-`w` key rows in a flat arena are strictly ascending.
@@ -829,29 +843,33 @@ impl<'a> Cursor<'a> {
 /// Encodes a response as one complete frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Result(out) => frame(KIND_RESULT, encode_output(out)),
+        Response::Result(out) => {
+            let mut w = Writer::frame(KIND_RESULT, 0);
+            encode_output(&mut w, out);
+            w.finish()
+        }
         Response::Error(e) => {
-            let mut w = Writer::new();
-            w.u8(e.code.to_byte());
             // Truncate absurdly long messages rather than overflowing the
             // frame cap; 64 KiB of detail is plenty.
             let msg = e.message.as_bytes();
             let msg = &msg[..floor_char_boundary(&e.message, msg.len().min(64 * 1024))];
+            let mut w = Writer::frame(KIND_ERROR, 1 + 4 + msg.len());
+            w.u8(e.code.to_byte());
             w.u32(msg.len() as u32);
             w.buf.extend_from_slice(msg);
-            frame(KIND_ERROR, w.buf)
+            w.finish()
         }
         Response::Overloaded {
             queue_depth,
             capacity,
         } => {
-            let mut w = Writer::new();
+            let mut w = Writer::frame(KIND_OVERLOADED, 4 + 4);
             w.u32(*queue_depth);
             w.u32(*capacity);
-            frame(KIND_OVERLOADED, w.buf)
+            w.finish()
         }
         Response::Stats(s) => {
-            let mut w = Writer::new();
+            let mut w = Writer::frame(KIND_STATS_REPLY, 8 * 8);
             for v in [
                 s.accepted_connections,
                 s.queries_answered,
@@ -864,9 +882,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             ] {
                 w.u64(v);
             }
-            frame(KIND_STATS_REPLY, w.buf)
+            w.finish()
         }
-        Response::ShutdownAck => frame(KIND_SHUTDOWN_ACK, Vec::new()),
+        Response::ShutdownAck => Writer::frame(KIND_SHUTDOWN_ACK, 0).finish(),
     }
 }
 

@@ -22,6 +22,11 @@
 //! is shared through the engine's once-filled analysis layer, not by
 //! grouping queries.
 //!
+//! Repeated queries are answered from a [`FrameCache`] of encoded `Result`
+//! frames: a hit is a refcount bump and a socket write — no clone of the
+//! output, no re-encode.  The server's engine runs with its own results
+//! cache off, so each answer is held once.
+//!
 //! Graceful shutdown (a [`Request::Shutdown`] frame or
 //! [`ServerHandle::shutdown`]): the acceptor stops, and a watchdog starts
 //! that cancels the drain token if draining exceeds
@@ -30,6 +35,7 @@
 //! `ShuttingDown`) and closes, so a client that keeps sending cannot hold
 //! the server open.  Admitted queries drain to completion or cancellation.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +50,7 @@ use sequitur::{Dag, TadocArchive};
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::{CancelToken, Engine, EngineError, QueryOptions};
 
-use crate::framing::{FrameReadError, FrameReader, ReadOutcome};
+use crate::framing::{write_frame, FrameReadError, FrameReader, ReadOutcome};
 use crate::protocol::{
     encode_response, is_framing_fatal, parse_request, Request, Response, StatsSnapshot, WireError,
     WireErrorCode,
@@ -62,7 +68,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Worker threads of the underlying engine session.
     pub engine_threads: usize,
-    /// Whether the engine's results cache is enabled.
+    /// Whether repeated queries are answered from the server's cache of
+    /// encoded result frames.
     pub results_cache: bool,
     /// How long a graceful shutdown may spend draining admitted queries
     /// before the drain token cancels the remainder.
@@ -205,7 +212,41 @@ struct Job {
     cfg: TaskConfig,
     /// Absolute expiry, measured from admission (queue wait counts).
     deadline: Option<Instant>,
-    reply: mpsc::SyncSender<Response>,
+    /// The encoded response frame.
+    reply: mpsc::SyncSender<Arc<[u8]>>,
+}
+
+/// Maximum distinct `(Task, TaskConfig)` keys the frame cache holds — the
+/// engine's results-cache cap, with the same rule: a full cache stops
+/// inserting (a serving mix's working set is six tasks × a handful of
+/// sequence lengths, so eviction buys nothing).
+const FRAME_CACHE_CAP: usize = 256;
+
+/// The encoded `Result` frames of clean answers, keyed by
+/// `(Task, TaskConfig)`.  Sound for the same reason as the engine's results
+/// cache: the archive is immutable for the server's lifetime and the
+/// engine is deterministic per key.  Degraded answers are never inserted.
+#[derive(Default)]
+struct FrameCache {
+    map: Mutex<HashMap<QueryKey, Arc<[u8]>>>,
+}
+
+/// What a query's answer depends on.
+type QueryKey = (Task, TaskConfig);
+
+impl FrameCache {
+    fn get(&self, key: QueryKey) -> Option<Arc<[u8]>> {
+        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        map.get(&key).cloned()
+    }
+
+    /// Inserts a frame unless the cache is full.
+    fn insert(&self, key: QueryKey, frame: Arc<[u8]>) {
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        if map.len() < FRAME_CACHE_CAP || map.contains_key(&key) {
+            map.insert(key, frame);
+        }
+    }
 }
 
 /// A bound-but-not-yet-running server.
@@ -247,10 +288,13 @@ impl Server {
     /// final counters.  Blocks the calling thread for the server's whole
     /// lifetime.
     pub fn run(self, archive: &TadocArchive, dag: &Dag) -> Result<StatsSnapshot, ServerError> {
+        // The frame cache replaces the engine's results cache: one copy of
+        // each answer, already encoded.
         let engine = Engine::builder(archive, dag)
             .threads(self.config.engine_threads)
-            .results_cache(self.config.results_cache)
+            .results_cache(false)
             .build()?;
+        let frames = self.config.results_cache.then(FrameCache::default);
         let queue = AdmissionQueue::new(self.config.queue_depth);
         let drain_cancel = CancelToken::new();
         let config = &self.config;
@@ -263,8 +307,8 @@ impl Server {
             let executors: Vec<_> = (0..config.executor_threads.max(1))
                 .map(|_| {
                     let drain_cancel = drain_cancel.clone();
-                    let (engine, queue) = (&engine, &queue);
-                    s.spawn(move || executor_loop(engine, queue, shared, &drain_cancel))
+                    let (engine, frames, queue) = (&engine, frames.as_ref(), &queue);
+                    s.spawn(move || executor_loop(engine, frames, queue, shared, &drain_cancel))
                 })
                 .collect();
             let handlers: Vec<_> = (0..config.handler_threads.max(1))
@@ -412,28 +456,28 @@ fn serve_connection(
                 shared.trigger_shutdown();
             }
             Request::Query(q) => {
-                let resp = admit_query(q, queue, shared);
-                write_response(&mut stream, &resp)?;
+                write_frame(&mut stream, &admit_query(q, queue, shared))?;
             }
         }
     }
     Ok(())
 }
 
-/// Admits one query (or sheds/refuses it) and waits for its answer.
+/// Admits one query (or sheds/refuses it), waits for its answer, and
+/// returns the encoded response frame.
 fn admit_query(
     q: crate::protocol::QueryRequest,
     queue: &AdmissionQueue<Job>,
     shared: &Shared,
-) -> Response {
+) -> Arc<[u8]> {
     if shared.is_shutting_down() {
         Counters::bump(&shared.counters.refused);
-        return Response::Error(WireError::new(
+        return encode(&Response::Error(WireError::new(
             WireErrorCode::ShuttingDown,
             "server is shutting down",
-        ));
+        )));
     }
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<Arc<[u8]>>(1);
     let job = Job {
         task: q.task,
         cfg: q.cfg,
@@ -449,46 +493,67 @@ fn admit_query(
                 .max_queue_depth
                 .fetch_max(depth as u64, Ordering::Relaxed);
             match reply_rx.recv() {
-                Ok(resp) => resp,
+                Ok(frame) => frame,
                 // The executor died mid-query; its catch_unwind normally
                 // answers, so this is a last-resort fallback.
-                Err(_) => Response::Error(WireError::new(
+                Err(_) => encode(&Response::Error(WireError::new(
                     WireErrorCode::Internal,
                     "executor dropped the query",
-                )),
+                ))),
             }
         }
         Push::Full(_) => {
             Counters::bump(&shared.counters.shed);
-            Response::Overloaded {
+            encode(&Response::Overloaded {
                 queue_depth: queue.depth().min(u32::MAX as usize) as u32,
                 capacity: queue.capacity().min(u32::MAX as usize) as u32,
-            }
+            })
         }
     }
 }
 
+fn encode(resp: &Response) -> Arc<[u8]> {
+    encode_response(resp).into()
+}
+
 fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    crate::framing::write_frame(stream, &encode_response(resp))
+    write_frame(stream, &encode_response(resp))
 }
 
 /// Executor thread: runs admitted queries one at a time on the shared
 /// engine session until the queue is closed **and** empty.
 fn executor_loop(
     engine: &Engine<'_>,
+    frames: Option<&FrameCache>,
     queue: &AdmissionQueue<Job>,
     shared: &Shared,
     drain_cancel: &CancelToken,
 ) {
     while let Some(job) = queue.pop() {
-        let resp = run_one(engine, &job, drain_cancel);
+        let frame = run_one(engine, frames, &job, drain_cancel);
         Counters::bump(&shared.counters.queries_answered);
-        drop(job.reply.send(resp));
+        drop(job.reply.send(frame));
     }
 }
 
-/// Runs one query under its limits; never unwinds.
-fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Response {
+/// Runs one query under its limits and returns its encoded response frame;
+/// never unwinds.
+fn run_one(
+    engine: &Engine<'_>,
+    frames: Option<&FrameCache>,
+    job: &Job,
+    drain_cancel: &CancelToken,
+) -> Arc<[u8]> {
+    let key = (job.task, job.cfg);
+    // A hit skips the engine, so it must not skip the engine's pre-flight:
+    // with the drain cancelled or the deadline passed, fall through to
+    // `run_with`, which answers with the typed error.
+    let expired = job.deadline.is_some_and(|d| Instant::now() >= d);
+    if let Some(frames) = frames.filter(|_| !expired && !drain_cancel.is_cancelled()) {
+        if let Some(frame) = frames.get(key) {
+            return frame;
+        }
+    }
     let opts = QueryOptions {
         // Queue wait counts against the deadline: whatever budget remains
         // at execution time is the engine's budget (zero means the
@@ -498,14 +563,120 @@ fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Respon
             .map(|d| d.saturating_duration_since(Instant::now())),
         cancel: Some(drain_cancel.clone()),
     };
-    match catch_unwind(AssertUnwindSafe(|| {
-        engine.run_with(job.task, job.cfg, &opts)
-    })) {
-        Ok(Ok(exec)) => Response::Result(exec.output),
-        Ok(Err(e)) => Response::Error(WireError::from(&e)),
-        Err(_) => Response::Error(WireError::new(
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        engine.run_with(job.task, job.cfg, &opts).map(|exec| {
+            let frame = encode(&Response::Result(exec.output));
+            if let Some(frames) = frames.filter(|_| exec.timings.degraded.is_none()) {
+                frames.insert(key, Arc::clone(&frame));
+            }
+            frame
+        })
+    }));
+    match run {
+        Ok(Ok(frame)) => frame,
+        Ok(Err(e)) => encode(&Response::Error(WireError::from(&e))),
+        Err(_) => encode(&Response::Error(WireError::new(
             WireErrorCode::Internal,
             "query execution panicked",
-        )),
+        ))),
+    }
+}
+
+/// The frame cache's insertion rules, on a real engine.  Under
+/// `failpoints` because the degraded path is only reachable by injection.
+#[cfg(all(test, feature = "failpoints"))]
+mod tests {
+    use super::*;
+    use sequitur::{compress_corpus, CompressOptions};
+    use tadoc::apps::run_task;
+
+    /// The failpoint registry is process-global: a site armed by one test
+    /// would fire in the other's queries.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn fixture() -> (TadocArchive, Dag) {
+        let shared = "the quick brown fox jumps over the lazy dog ".repeat(4);
+        let files: Vec<(String, String)> = (0..6)
+            .map(|i| {
+                (
+                    format!("doc{i}"),
+                    format!("{shared} topic{} {shared}", i % 3),
+                )
+            })
+            .collect();
+        let archive = compress_corpus(&files, CompressOptions::default());
+        let dag = Dag::from_grammar(&archive.grammar);
+        (archive, dag)
+    }
+
+    fn job(task: Task, cfg: TaskConfig) -> Job {
+        Job {
+            task,
+            cfg,
+            deadline: None,
+            reply: mpsc::sync_channel(1).0,
+        }
+    }
+
+    fn oracle_frame(archive: &TadocArchive, dag: &Dag, task: Task, cfg: TaskConfig) -> Vec<u8> {
+        encode_response(&Response::Result(run_task(archive, dag, task, cfg).output))
+    }
+
+    #[test]
+    fn degraded_answers_are_served_but_never_cached() {
+        let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        failpoints::reset();
+        let (archive, dag) = fixture();
+        let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
+        let (frames, cancel) = (FrameCache::default(), CancelToken::new());
+        let (task, cfg) = (Task::WordCount, TaskConfig::default());
+        let oracle = oracle_frame(&archive, &dag, task, cfg);
+
+        failpoints::enable_times("worker-epoch", 1);
+        let degraded = run_one(&engine, Some(&frames), &job(task, cfg), &cancel);
+        // A fired worker site always degrades the query to the sequential
+        // path (pinned by `tests/fault_injection.rs`).
+        let fired = !failpoints::is_armed("worker-epoch");
+        failpoints::reset();
+        assert!(fired, "the armed worker site must fire");
+        assert_eq!(&*degraded, &oracle[..], "degraded answer diverged");
+        assert!(frames.get((task, cfg)).is_none(), "degraded frame cached");
+
+        let clean = run_one(&engine, Some(&frames), &job(task, cfg), &cancel);
+        assert_eq!(&*clean, &oracle[..]);
+        let cached = frames.get((task, cfg)).expect("clean frame cached");
+        assert!(Arc::ptr_eq(&cached, &clean));
+    }
+
+    #[test]
+    fn full_cache_stops_inserting_and_keeps_answering() {
+        let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        failpoints::reset();
+        let (archive, dag) = fixture();
+        let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
+        let (frames, cancel) = (FrameCache::default(), CancelToken::new());
+        // wordCount ignores `sequence_length`, so every key shares one
+        // oracle while still being a distinct cache key.
+        let task = Task::WordCount;
+        let oracle = oracle_frame(&archive, &dag, task, TaskConfig::default());
+        let keys = (1..=FRAME_CACHE_CAP + 1).map(|sequence_length| TaskConfig { sequence_length });
+
+        for cfg in keys {
+            let frame = run_one(&engine, Some(&frames), &job(task, cfg), &cancel);
+            assert_eq!(&*frame, &oracle[..], "l={}", cfg.sequence_length);
+        }
+        assert_eq!(frames.map.lock().unwrap().len(), FRAME_CACHE_CAP);
+        let last = TaskConfig {
+            sequence_length: FRAME_CACHE_CAP + 1,
+        };
+        assert!(frames.get((task, last)).is_none(), "inserted past the cap");
+        // The uncached key is recomputed, still correct, and still not
+        // inserted; a cached key is served from the cache.
+        let again = run_one(&engine, Some(&frames), &job(task, last), &cancel);
+        assert_eq!(&*again, &oracle[..]);
+        assert!(frames.get((task, last)).is_none());
+        let first = TaskConfig { sequence_length: 1 };
+        let hit = run_one(&engine, Some(&frames), &job(task, first), &cancel);
+        assert!(Arc::ptr_eq(&hit, &frames.get((task, first)).unwrap()));
     }
 }

@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use g_tadoc_repro::prelude::*;
 use server::framing::{FrameReader, ReadOutcome};
 use server::protocol::{
-    encode_request, parse_response, QueryRequest, Request, Response, StatsSnapshot, WireErrorCode,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
+    encode_request, encode_response, parse_response, QueryRequest, Request, Response,
+    StatsSnapshot, WireErrorCode, HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
 };
 use server::server::{Server, ServerConfig, ServerHandle};
 use server::{Client, QueryOutcome};
@@ -353,6 +353,91 @@ fn expired_deadlines_answer_deadline_exceeded() {
         }
     });
     assert_eq!(stats.queries_answered, 2);
+}
+
+/// Reads exactly one raw response frame (kind and payload) off a stream.
+fn read_raw_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> (u8, Vec<u8>) {
+    loop {
+        match reader.read_frame(stream).expect("read response frame") {
+            ReadOutcome::Frame { kind, payload } => return (kind, payload),
+            ReadOutcome::Idle => continue,
+            ReadOutcome::Closed => panic!("server closed the stream before responding"),
+        }
+    }
+}
+
+/// Writes one query frame on a raw stream.
+fn send_query(stream: &mut TcpStream, task: Task, cfg: TaskConfig, deadline_ms: Option<u64>) {
+    let frame = encode_request(&Request::Query(QueryRequest {
+        task,
+        cfg,
+        deadline_ms,
+    }));
+    stream.write_all(&frame).expect("write query");
+}
+
+/// Answers served from the server's cache of encoded frames are the
+/// oracle's frames byte for byte, and a warmed key still honours the
+/// typed errors the engine's pre-flight gives: an expired deadline answers
+/// `DeadlineExceeded`, and a query after `shutdown()` gets `ShuttingDown`.
+#[test]
+fn cached_answers_keep_deadline_and_shutdown_semantics() {
+    let _guard = serial();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let cfg = TaskConfig { sequence_length: 3 };
+    let expected: Vec<Vec<u8>> = Task::ALL
+        .into_iter()
+        .map(|t| encode_response(&Response::Result(run_task(&archive, &dag, t, cfg).output)))
+        .collect();
+
+    let config = ServerConfig {
+        // The handler parks in one long read, so the shutdown below lands
+        // while it waits for the next frame.
+        read_poll: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let mut answered = 0u64;
+    let stats = with_server(config, &archive, &dag, |handle| {
+        let mut s = TcpStream::connect(handle.addr()).expect("connect");
+        let mut reader = FrameReader::new();
+        // Warm every key, then read each back twice: all three answers are
+        // the oracle's frame.
+        for _ in 0..3 {
+            for (task, want) in Task::ALL.into_iter().zip(&expected) {
+                send_query(&mut s, task, cfg, None);
+                let (kind, payload) = read_raw_frame(&mut s, &mut reader);
+                assert_eq!(kind, want[5], "{}: frame kind", task.name());
+                assert!(
+                    payload == want[HEADER_LEN..],
+                    "{}: frame differs from the oracle's",
+                    task.name()
+                );
+                answered += 1;
+            }
+        }
+
+        // An expired deadline is not masked by the warm frame.
+        send_query(&mut s, Task::WordCount, cfg, Some(0));
+        match read_response(&mut s, &mut reader) {
+            Response::Error(e) => assert_eq!(e.code, WireErrorCode::DeadlineExceeded),
+            other => panic!("expected DeadlineExceeded on a warmed key, got {other:?}"),
+        }
+        answered += 1;
+
+        // Give the handler time to enter its next read, then shut down:
+        // the frame it reads next is refused, not served from the cache.
+        std::thread::sleep(Duration::from_millis(100));
+        handle.shutdown();
+        send_query(&mut s, Task::WordCount, cfg, None);
+        match read_response(&mut s, &mut reader) {
+            Response::Error(e) => assert_eq!(e.code, WireErrorCode::ShuttingDown),
+            other => panic!("expected ShuttingDown on a warmed key, got {other:?}"),
+        }
+    });
+    assert_eq!(stats.queries_answered, answered);
+    assert_eq!(stats.refused, 1);
+    assert_eq!(stats.protocol_errors, 0);
 }
 
 /// Graceful shutdown drains: a query in flight when `Shutdown` arrives is
