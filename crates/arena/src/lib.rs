@@ -21,7 +21,7 @@
 //! * [`flat64`] — the `u32 → u64` variant used by the fine-grained CPU
 //!   engine, whose analytics counts exceed 32 bits;
 //! * [`mix64`] — the shared full-avalanche finalizer both tables hash with;
-//! * [`shard`] — append-and-compact shard buffers ([`shard::ShardBuf`]) for
+//! * [`shard`] — append-only shard buffers ([`shard::ShardBuf`]) for
 //!   the sharded lock-free merges: workers append `(key, value)` entries per
 //!   hash shard, merges do one sort + fold per shard.
 //!

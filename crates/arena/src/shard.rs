@@ -1,22 +1,21 @@
-//! Append-and-compact shard buffers for lock-free sharded merges.
+//! Append-only shard buffers for lock-free sharded merges.
 //!
 //! The fine-grained engines accumulate per-worker partial results and merge
 //! them by hash shard: every key shard is owned by exactly one merge worker,
 //! so the merges need no synchronization.  Earlier revisions materialised the
 //! per-worker shards as hash maps, paying a probe per *occurrence* on the
 //! traversal hot path and another per entry during the merge.  A [`ShardBuf`]
-//! replaces that with the design of the posting accumulators (append with
-//! duplicates allowed, compact by sort + fold when the buffer doubles): the
-//! hot path is a bounds-checked vector push, memory stays proportional to
-//! the *distinct* keys the worker owns (amortised), and the merge is a single
-//! sort + fold per shard over data that is already mostly sorted runs.
+//! replaces that with a plain append (duplicates allowed): the hot path is a
+//! vector push, and the merge is the single sort + fold per shard.  Nothing
+//! sorts before the merge — the sequence tasks' keys barely repeat, so an
+//! earlier sort would fold almost nothing and be paid again by the merge.
 //!
 //! The merge contract:
 //!
 //! 1. Workers append entries (duplicates allowed, any order) into one
 //!    `ShardBuf` per shard, routing each entry by its key hash (the caller's
-//!    `shard_of`).  Buffers self-compact, so a worker never holds more than
-//!    ~2× its distinct entries past the compaction floor.
+//!    `shard_of`).  Buffers never fold before the merge, so a worker holds
+//!    exactly the entries it pushed.
 //! 2. The per-shard buffers of all workers are handed to that shard's merge
 //!    worker, which calls [`ShardBuf::merge`] once: the result is sorted by
 //!    key and contains **exactly one entry per distinct key**, with equal-key
@@ -141,45 +140,32 @@ impl<K: Ord> ShardEntry for MaskEntry<K> {
     }
 }
 
-/// An append-mostly accumulation buffer for one hash shard of one worker.
+/// An append-only accumulation buffer for one hash shard of one worker.
 ///
 /// Entries are pushed with duplicates allowed — an append per occurrence is
-/// far cheaper than a hash probe per occurrence — and the buffer compacts
-/// itself (sort + fold in place) whenever it doubles past its last compacted
-/// size, keeping worker memory proportional to the distinct keys it owns.
+/// far cheaper than a hash probe per occurrence — and folded once, by
+/// [`ShardBuf::merge`].
 #[derive(Debug, Clone)]
 pub struct ShardBuf<T> {
     entries: Vec<T>,
-    compact_at: usize,
 }
 
 impl<T> Default for ShardBuf<T> {
     fn default() -> Self {
         Self {
             entries: Vec::new(),
-            compact_at: 0,
         }
     }
 }
 
 impl<T: ShardEntry> ShardBuf<T> {
-    /// Buffers below this never self-compact: the merge folds them in one
-    /// sort anyway, and re-sorting small growing buffers costs more than it
-    /// saves.
-    pub const COMPACT_FLOOR: usize = 4096;
-
     /// Appends one entry (duplicates allowed).
     #[inline]
     pub fn push(&mut self, entry: T) {
         self.entries.push(entry);
-        if self.entries.len() >= self.compact_at.max(Self::COMPACT_FLOOR) {
-            self.compact();
-            self.compact_at = 2 * self.entries.len();
-        }
     }
 
-    /// Number of buffered entries (duplicates included until the next
-    /// compaction).
+    /// Number of buffered entries, duplicates included.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -187,19 +173,6 @@ impl<T: ShardEntry> ShardBuf<T> {
     /// Whether the buffer holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Sorts by key and folds equal-key runs in place with
-    /// [`ShardEntry::absorb`].
-    pub fn compact(&mut self) {
-        sort_fold(&mut self.entries);
-    }
-
-    /// Compacts and returns the entries, sorted by key with one entry per
-    /// distinct key.
-    pub fn into_sorted(mut self) -> Vec<T> {
-        self.compact();
-        self.entries
     }
 
     /// Merges the per-worker buffers of one shard: one sort + fold over all
@@ -220,8 +193,8 @@ impl<T: ShardEntry> ShardBuf<T> {
 }
 
 /// Sorts `entries` by key and folds equal-key runs in place with
-/// [`ShardEntry::absorb`] — the primitive [`ShardBuf`] compaction and merge
-/// are built on, exposed for callers folding scratch vectors of their own.
+/// [`ShardEntry::absorb`] — the primitive [`ShardBuf::merge`] is built on,
+/// exposed for callers folding scratch vectors of their own.
 pub fn sort_fold<T: ShardEntry>(entries: &mut Vec<T>) {
     entries.sort_unstable_by(|a, b| a.key().cmp(b.key()));
     entries.dedup_by(|cur, prev| {
@@ -261,26 +234,27 @@ mod tests {
             buf.push(SetEntry::new((7u32, f)));
         }
         assert_eq!(
-            buf.into_sorted(),
+            ShardBuf::merge(vec![buf]),
             vec![SetEntry::new((7, 1)), SetEntry::new((7, 2))]
         );
     }
 
     #[test]
-    fn self_compaction_bounds_memory() {
-        let mut buf = ShardBuf::default();
-        // Push far more duplicates than the floor: the buffer must keep
-        // folding them back down instead of growing linearly.
-        for i in 0..(10 * ShardBuf::<CountEntry<u64>>::COMPACT_FLOOR) {
-            buf.push(CountEntry::new((i % 7) as u64, 1));
+    fn merge_folds_duplicate_heavy_pieces_exactly() {
+        // 10 × 4096 pushes of 7 keys, split over two pieces: buffers keep
+        // every push, and the one merge folds them to exact per-key sums.
+        const PUSHES: usize = 10 * 4096;
+        let mut pieces = vec![ShardBuf::default(), ShardBuf::default()];
+        let mut sums = [0u64; 7];
+        for i in 0..PUSHES {
+            pieces[i % 2].push(CountEntry::new((i % 7) as u64, 1));
+            sums[i % 7] += 1;
         }
-        assert!(
-            buf.len() <= ShardBuf::<CountEntry<u64>>::COMPACT_FLOOR + 7,
-            "buffer of 7 distinct keys grew to {} entries",
-            buf.len()
-        );
-        let total: u64 = buf.into_sorted().iter().map(|e| e.count).sum();
-        assert_eq!(total, 10 * ShardBuf::<CountEntry<u64>>::COMPACT_FLOOR as u64);
+        assert_eq!(pieces.iter().map(ShardBuf::len).sum::<usize>(), PUSHES);
+        let expected: Vec<CountEntry<u64>> = (0..7u64)
+            .map(|k| CountEntry::new(k, sums[k as usize]))
+            .collect();
+        assert_eq!(ShardBuf::merge(pieces), expected);
     }
 
     #[test]
@@ -305,9 +279,7 @@ mod tests {
             ShardBuf::default(),
         ]);
         assert!(merged.is_empty());
-        let empty = ShardBuf::<CountEntry<u32>>::default();
-        assert!(empty.is_empty());
-        assert_eq!(empty.into_sorted(), vec![]);
+        assert!(ShardBuf::<CountEntry<u32>>::default().is_empty());
     }
 
     #[test]

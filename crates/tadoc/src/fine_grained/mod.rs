@@ -20,23 +20,23 @@
 //!    and phases, and small DAG levels no longer pay a thread-spawn each.
 //! 2. **Private per-worker accumulators** (Figure 5's lock-free local
 //!    tables, in CPU-appropriate form).  Every worker owns its accumulation
-//!    state outright — append-and-compact shard buffers for the counting
+//!    state outright — append-only shard buffers for the counting
 //!    tasks, a dense `counts[word]` scratch with touched-word tracking for
 //!    term vector (word ids are already a perfect hash of the vocabulary) —
 //!    the CPU twin of the paper's observation that a table owned by one
 //!    thread needs no locks.  (The flat open-addressing tables of
 //!    [`arena::flat64`] remain the substrate of the simulated GPU engine,
 //!    where dynamic allocation per thread is not an option.)
-//! 3. **Sharded lock-free global merge over append-and-compact buffers.**
+//! 3. **Sharded lock-free global merge over append-only buffers.**
 //!    Instead of the global table's bucket locks (Figure 5's
 //!    `lock`/`entries` buffers), the CPU merge assigns every key hash-shard
 //!    to exactly one worker ([`exec::shard_of`]), so the per-shard merges
 //!    run concurrently with no synchronization at all — contention is
 //!    resolved statically rather than with atomics.  Workers accumulate
 //!    their shards in [`arena::shard::ShardBuf`]s (an append per
-//!    occurrence, self-compacting by sort + fold), so no per-worker hash
-//!    maps are materialised on the traversal hot path and each shard's
-//!    merge is one sort + fold.
+//!    occurrence, never folded before the merge), so no per-worker hash
+//!    maps are materialised on the traversal hot path and each shard is
+//!    sorted exactly once, by its merge's one sort + fold.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
 //!    an oversized rule body (dataset B's root holds most of the corpus),
@@ -391,9 +391,9 @@ fn word_count_fine(
     // Phase 2: traversal — every chunk appends its local-word slice × rule
     // weight straight into per-shard [`ShardBuf`]s.  The local-word lists
     // are already deduplicated per rule, so on real corpora the entry total
-    // is at most a small multiple of the vocabulary and the self-compacting
-    // buffers fold it without any per-occurrence hash probes; the sharded
-    // merge is one sort + fold per shard.
+    // is at most a small multiple of the vocabulary, and the sharded merge
+    // folds it with one sort + fold per shard and no per-occurrence hash
+    // probes.
     let trav_timer = Timer::start();
     let queue = exec::WorkQueue::new(chunks.len(), 16);
     let locals: Vec<(Vec<ShardBuf<CountEntry<WordId>>>, WorkStats)> =
@@ -487,11 +487,11 @@ fn inverted_index_fine(
     // then chunks of the root's file segments — a few huge files fan out
     // across the whole pool instead of one worker per file.  Posting
     // candidates are *appended* as `(word, file-block)` bitmask entries into
-    // per-shard [`ShardBuf`]s (duplicates allowed, self-compacting, equal
-    // keys OR their masks): an append per occurrence is far cheaper than a
-    // hash probe per occurrence, and packing 64 files per entry means a rule
-    // with a dense file list costs one entry per (word, block) instead of
-    // one per (word, file).
+    // per-shard [`ShardBuf`]s (duplicates allowed, folded once by the
+    // merge, equal keys OR their masks): an append per occurrence is far
+    // cheaper than a hash probe per occurrence, and packing 64 files per
+    // entry means a rule with a dense file list costs one entry per
+    // (word, block) instead of one per (word, file).
     let num_rule_items = rule_chunks.len();
     let queue = exec::WorkQueue::new(num_rule_items + seg_chunks.len(), 16);
     let root = grammar.root();
@@ -692,14 +692,15 @@ pub(crate) fn build_term_vector_prep(
                 pool.checkpoint(); // cancel/deadline, once per claimed chunk
                 for ci in range {
                     let c = seed_chunks[ci];
-                    let mut buf: ShardBuf<CountEntry<u32>> = ShardBuf::default();
+                    let mut list: Vec<CountEntry<u32>> = Vec::new();
                     for sym in &root[c.begin..c.end] {
                         stats.elements_scanned += 1;
                         if let Symbol::Rule(r) = *sym {
-                            buf.push(CountEntry::new(r, 1));
+                            list.push(CountEntry::new(r, 1));
                         }
                     }
-                    out.push((c.file, buf.into_sorted()));
+                    sort_fold(&mut list);
+                    out.push((c.file, list));
                 }
             }
             (out, stats)

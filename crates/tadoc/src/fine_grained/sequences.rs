@@ -67,7 +67,7 @@ pub fn unpack_sequence_into(key: u64, out: &mut [u32]) {
 
 /// A sortable key for sequence windows: either the packed 64-bit form
 /// (the hot path — no allocation per window) or the owned word vector.
-/// `Ord` is what the append-and-compact shard buffers sort and fold by;
+/// `Ord` is what the shard buffers' merge sorts and folds by;
 /// `Hash` routes keys to merge shards.
 ///
 /// The key type also picks the *finalize* strategy that turns per-shard

@@ -8,8 +8,12 @@
 //! * the GPU hash table behaves like a map; the pool-backed local tables
 //!   behave like maps; the memory pool never overlaps regions;
 //! * G-TADOC word count and sequence count agree with the oracle on random
-//!   corpora.
+//!   corpora;
+//! * a `ShardBuf` merge equals a `BTreeMap` fold of its pieces.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use arena::shard::{CountEntry, MaskEntry, SetEntry, ShardBuf, ShardEntry};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -323,5 +327,90 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Strategy: up to 4 shard pieces of raw `(key, value)` pairs.  The tests
+/// narrow the keys modulo a drawn spread, so the same draw covers
+/// duplicate-heavy pieces (3 keys), moderately folding ones and nearly
+/// distinct ones.
+fn raw_pieces() -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
+    vec(vec((0u32..400, 0u64..1000), 0..200), 0..4)
+}
+
+/// One `ShardBuf` per raw piece, with an empty piece spliced in at
+/// `empty_at` (clamped), so every case merges at least one empty piece.
+fn shard_pieces<T: ShardEntry>(
+    rows: &[Vec<(u32, u64)>],
+    empty_at: usize,
+    entry: impl Fn(u32, u64) -> T,
+) -> Vec<ShardBuf<T>> {
+    let mut pieces: Vec<ShardBuf<T>> = rows
+        .iter()
+        .map(|row| {
+            let mut buf = ShardBuf::default();
+            for &(k, v) in row {
+                buf.push(entry(k, v));
+            }
+            buf
+        })
+        .collect();
+    pieces.insert(empty_at.min(pieces.len()), ShardBuf::default());
+    pieces
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The merge contract: one `ShardBuf::merge` over any pieces is sorted by
+    // key with exactly one entry per distinct key, each the fold of every
+    // pushed duplicate — i.e. it equals a `BTreeMap` fold — for counted,
+    // bitmask, set and owned-vector keys.
+    #[test]
+    fn shard_merge_equals_btreemap_fold(
+        raw in raw_pieces(),
+        spread in 0usize..3,
+        empty_at in 0usize..5,
+    ) {
+        let modulus = [3u32, 40, 400][spread];
+        let rows: Vec<Vec<(u32, u64)>> = raw
+            .iter()
+            .map(|row| row.iter().map(|&(k, v)| (k % modulus, v)).collect())
+            .collect();
+        let pairs = || rows.iter().flatten().copied();
+
+        let mut sums: BTreeMap<u32, u64> = BTreeMap::new();
+        for (k, v) in pairs() {
+            *sums.entry(k).or_default() += v;
+        }
+        let merged = ShardBuf::merge(shard_pieces(&rows, empty_at, CountEntry::new));
+        let merged: Vec<(u32, u64)> = merged.into_iter().map(|e| (e.key, e.count)).collect();
+        prop_assert_eq!(merged, sums.into_iter().collect::<Vec<_>>());
+
+        let mask_entry = |k: u32, v: u64| MaskEntry::new((k, (v % 3) as u32), 1u64 << (v % 64));
+        let mut masks: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        for (k, v) in pairs() {
+            let e = mask_entry(k, v);
+            *masks.entry(e.key).or_default() |= e.mask;
+        }
+        let merged = ShardBuf::merge(shard_pieces(&rows, empty_at, mask_entry));
+        let merged: Vec<((u32, u32), u64)> = merged.into_iter().map(|e| (e.key, e.mask)).collect();
+        prop_assert_eq!(merged, masks.into_iter().collect::<Vec<_>>());
+
+        let set: BTreeSet<u32> = pairs().map(|(k, _)| k).collect();
+        let merged = ShardBuf::merge(shard_pieces(&rows, empty_at, |k, _| SetEntry::new(k)));
+        let merged: Vec<u32> = merged.into_iter().map(|e| e.key).collect();
+        prop_assert_eq!(merged, set.into_iter().collect::<Vec<_>>());
+
+        // Owned sequence keys of length 0..=3 sharing prefixes.
+        let seq_key = |k: u32, v: u64| (0..(v % 4) as u32).map(|i| k + i).collect::<Vec<u32>>();
+        let mut seq_sums: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
+        for (k, v) in pairs() {
+            *seq_sums.entry(seq_key(k, v)).or_default() += v;
+        }
+        let merged =
+            ShardBuf::merge(shard_pieces(&rows, empty_at, |k, v| CountEntry::new(seq_key(k, v), v)));
+        let merged: Vec<(Vec<u32>, u64)> = merged.into_iter().map(|e| (e.key, e.count)).collect();
+        prop_assert_eq!(merged, seq_sums.into_iter().collect::<Vec<_>>());
     }
 }
